@@ -26,7 +26,6 @@ from .geometry import (
     minkowski_chart,
     static_diagonal_chart,
     torsion_residual,
-    volume_element,
 )
 from .dynamics import (
     EvolutionUnstableError,
@@ -45,12 +44,12 @@ from .dynamics import (
     timelike_report,
 )
 from .pairing import (
-    ModeBasis,
     NotSpacelikeError,
     RankDeficientModeError,
     Slice,
     coordinate_slice,
     flux,
+    gram,
     inner,
     orthonormalize,
     sample_on_slice,

@@ -11,7 +11,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, replace
 
-from .geometry import MetricChart, minkowski_chart, static_diagonal_chart
+from .geometry import FAMILIES, PROFILES, MetricChart, minkowski_chart, static_diagonal_chart
 
 SUITE_NAMES = ("identities", "connection", "evolve", "current", "pairing", "fock")
 
@@ -262,7 +262,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         if name not in SUITE_NAMES:
             raise ConfigError("unknown suite %r (choose from %s)" % (name, ", ".join(SUITE_NAMES)))
 
-    if cfg.family not in ("minkowski", "static-diagonal"):
+    if cfg.family not in FAMILIES:
         raise ConfigError("family must be minkowski or static-diagonal")
     if cfg.steps < 1:
         raise ConfigError("steps must be at least 1")
@@ -274,7 +274,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("shape entries must be at least 1")
     if cfg.epsilon < 0:
         raise ConfigError("epsilon must be non-negative")
-    if cfg.profile not in ("linear", "sin"):
+    if cfg.profile not in PROFILES:
         raise ConfigError("profile must be linear or sin")
 
     for i, mode in enumerate(cfg.modes):

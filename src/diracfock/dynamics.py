@@ -55,14 +55,10 @@ def _pairing_matrices(gs: GammaSet) -> np.ndarray:
 
 def grid_norm(values: np.ndarray, chart: MetricChart, weights: np.ndarray | None = None) -> float:
     """L2 norm of spatial spinor samples with cell-volume weighting."""
-    cell = 1.0
-    for k in (1, 2, 3):
-        if len(chart.axes[k]) > 1:
-            cell *= chart.spacing[k]
     dens = np.sum(np.abs(values) ** 2, axis=-1)
     if weights is not None:
         dens = dens * weights
-    return float(np.sqrt(np.sum(dens) * cell))
+    return float(np.sqrt(np.sum(dens) * chart.cell_volume))
 
 
 def dirac_residual(psi: SpinorField, bg: Background, k: PhysicalConstants) -> SpinorField:
@@ -228,8 +224,7 @@ def divergence(j: CurrentField, bg: Background) -> np.ndarray:
     v = j.values
     eta = np.real(bg.gamma_set.metric)
 
-    dt = j.dt if len(j.taxis) > 1 else 1.0
-    out = bg.tetrad[None, ..., 0, 0] * differentiate(v[..., 0], axis=0, spacing=dt, periodic=False)
+    out = bg.tetrad[None, ..., 0, 0] * differentiate(v[..., 0], axis=0, spacing=j.dt, periodic=False)
     for ax in (1, 2, 3):
         dv = differentiate(v[..., ax], axis=ax, spacing=chart.spacing[ax], periodic=chart.periodic[ax])
         out = out + bg.tetrad[None, ..., ax, ax] * dv
@@ -271,10 +266,7 @@ def action_value(
         weights[0] *= 0.5
         weights[-1] *= 0.5
     vol = bg.sqrt_neg_det[None, ...]
-    cell = psi.dt if len(psi.taxis) > 1 else 1.0
-    for ax in (1, 2, 3):
-        if len(chart.axes[ax]) > 1:
-            cell *= chart.spacing[ax]
+    cell = (psi.dt if len(psi.taxis) > 1 else 1.0) * chart.cell_volume
 
     integrand = dens * weights * vol
     if region is not None:

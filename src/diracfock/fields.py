@@ -14,21 +14,19 @@ class GridMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class SpinorField:
-    """Complex 4-component field on a spacetime grid.
-
-    values has shape (nt, n1, n2, n3, 4); taxis holds the nt time nodes.
-    The spatial axes must match the chart the field was built on.
-    """
+class _GridField:
+    """Values of shape (nt, n1, n2, n3, 4) over taxis and a chart's spatial grid."""
 
     chart: "object"
     taxis: np.ndarray
     values: np.ndarray
 
+    _kind = "field"
+
     def __post_init__(self) -> None:
         v = self.values
         if v.ndim != 5 or v.shape[-1] != 4:
-            raise ValueError("spinor values must have shape (nt, n1, n2, n3, 4)")
+            raise ValueError(f"{self._kind} values must have shape (nt, n1, n2, n3, 4)")
         if v.shape[0] != len(self.taxis):
             raise ValueError("time axis length does not match values")
         if v.shape[1:4] != self.chart.spatial_shape:
@@ -39,6 +37,17 @@ class SpinorField:
         if len(self.taxis) < 2:
             return 0.0
         return float(self.taxis[1] - self.taxis[0])
+
+
+@dataclass(frozen=True)
+class SpinorField(_GridField):
+    """Complex 4-component field on a spacetime grid.
+
+    values has shape (nt, n1, n2, n3, 4); taxis holds the nt time nodes.
+    The spatial axes must match the chart the field was built on.
+    """
+
+    _kind = "spinor"
 
     def with_values(self, values: np.ndarray) -> "SpinorField":
         return replace(self, values=values)
@@ -65,12 +74,9 @@ class SpinorField:
         if not np.allclose(self.taxis, other.taxis, rtol=0.0, atol=1e-12):
             raise GridMismatchError("fields live on different time axes")
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass(frozen=True)
-class CurrentField:
+class CurrentField(_GridField):
     """Vector field in frame components on the same grid layout as SpinorField.
 
     values has shape (nt, n1, n2, n3, 4), axis -1 being the frame index q.
@@ -78,21 +84,4 @@ class CurrentField:
     complex.
     """
 
-    chart: "object"
-    taxis: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = self.values
-        if v.ndim != 5 or v.shape[-1] != 4:
-            raise ValueError("current values must have shape (nt, n1, n2, n3, 4)")
-        if v.shape[0] != len(self.taxis):
-            raise ValueError("time axis length does not match values")
-        if v.shape[1:4] != self.chart.spatial_shape:
-            raise GridMismatchError("spatial grid does not match the chart")
-
-    @property
-    def dt(self) -> float:
-        if len(self.taxis) < 2:
-            return 0.0
-        return float(self.taxis[1] - self.taxis[0])
+    _kind = "current"

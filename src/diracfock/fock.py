@@ -38,8 +38,6 @@ __all__ = [
     "parse_fock_vector",
 ]
 
-_PRUNE = 0.0  # exact-zero pruning only; coefficients are kept verbatim
-
 
 def occupation_from_indices(indices: Iterable[int]) -> int:
     """Bitset of a strictly increasing index tuple."""

@@ -38,7 +38,6 @@ __all__ = [
     "torsion_residual",
     "frame_orthonormality_residual",
     "covariant_derivative",
-    "volume_element",
 ]
 
 
@@ -46,7 +45,9 @@ class ChartError(ValueError):
     """Chart or metric data outside the supported families."""
 
 
-_PROFILES: dict[str, tuple[Callable[[np.ndarray, float], np.ndarray], bool]] = {
+FAMILIES = ("minkowski", "static-diagonal")
+
+PROFILES: dict[str, tuple[Callable[[np.ndarray, float], np.ndarray], bool]] = {
     # name -> (g00 profile of x1, periodic in x1)
     "linear": (lambda x, eps: 1.0 + eps * x, False),
     "sin": (lambda x, eps: 1.0 + eps * np.sin(x), True),
@@ -71,9 +72,9 @@ class MetricChart:
                 steps = np.diff(a)
                 if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-14):
                     raise ChartError("axes must be uniform")
-        if self.family not in ("minkowski", "static_diagonal"):
+        if self.family not in FAMILIES:
             raise ChartError(f"unknown metric family {self.family!r}")
-        if self.family == "static_diagonal" and self.profile not in _PROFILES:
+        if self.family == "static-diagonal" and self.profile not in PROFILES:
             raise ChartError(f"unknown profile {self.profile!r}")
 
     @property
@@ -93,6 +94,15 @@ class MetricChart:
         return self.spacing[0]
 
     @property
+    def cell_volume(self) -> float:
+        """Coordinate volume of one spatial cell; suppressed axes count as 1."""
+        cell = 1.0
+        for a, h in zip(self.axes[1:], self.spacing[1:]):
+            if len(a) > 1:
+                cell *= h
+        return cell
+
+    @property
     def spatial_volume(self) -> float:
         """Coordinate volume of the periodic spatial box (cell-counted)."""
         vol = 1.0
@@ -101,8 +111,7 @@ class MetricChart:
         return vol
 
     def with_time_axis(self, t_start: float, t_span: float, steps: int) -> "MetricChart":
-        taxis = t_start + (t_span / steps) * np.arange(steps + 1)
-        return replace(self, axes=(taxis,) + self.axes[1:])
+        return replace(self, axes=(_time_axis(t_start, t_span, steps),) + self.axes[1:])
 
     def metric_values(self) -> np.ndarray:
         """Coordinate metric sampled on the spatial grid, shape (n1,n2,n3,4,4)."""
@@ -111,7 +120,7 @@ class MetricChart:
         if self.family == "minkowski":
             g[...] = np.diag([1.0, -1.0, -1.0, -1.0])
             return g
-        profile, _ = _PROFILES[self.profile]
+        profile, _ = PROFILES[self.profile]
         g00 = profile(self.axes[1], self.epsilon)
         if np.any(g00 <= 0.0):
             raise ChartError("g00 must stay positive on the chart")
@@ -121,8 +130,17 @@ class MetricChart:
         return g
 
 
+def _time_axis(t_start: float, t_span: float, steps: int) -> np.ndarray:
+    """steps + 1 uniform nodes on [t_start, t_start + t_span]."""
+    if steps < 1:
+        raise ChartError("need at least one time step")
+    return t_start + (t_span / steps) * np.arange(steps + 1)
+
+
 def _spatial_axis(extent: float, n: int, offset: float = 0.0) -> np.ndarray:
-    """Periodic axis: n nodes on [offset, offset + extent), node spacing extent/n."""
+    """Periodic axis: n nodes on [offset, offset + extent); a single node sits at offset."""
+    if n == 1:
+        return np.array([offset])
     return offset + (extent / n) * np.arange(n)
 
 
@@ -134,12 +152,8 @@ def minkowski_chart(
     shape: tuple[int, int, int],
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> MetricChart:
-    if steps < 1:
-        raise ChartError("need at least one time step")
-    taxis = t_start + (t_span / steps) * np.arange(steps + 1)
-    axes = (taxis,) + tuple(
-        _spatial_axis(lengths[k], shape[k], origin[k]) if shape[k] > 1 else np.array([origin[k]])
-        for k in range(3)
+    axes = (_time_axis(t_start, t_span, steps),) + tuple(
+        _spatial_axis(lengths[k], shape[k], origin[k]) for k in range(3)
     )
     return MetricChart(axes=axes, periodic=(False, True, True, True), family="minkowski")
 
@@ -154,22 +168,20 @@ def static_diagonal_chart(
     profile: str = "sin",
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> MetricChart:
-    if profile not in _PROFILES:
+    if profile not in PROFILES:
         raise ChartError(f"unknown profile {profile!r}")
-    _, periodic_x1 = _PROFILES[profile]
-    taxis = t_start + (t_span / steps) * np.arange(steps + 1)
+    _, periodic_x1 = PROFILES[profile]
     if periodic_x1 or shape[0] == 1:
-        x1 = _spatial_axis(lengths[0], shape[0], origin[0]) if shape[0] > 1 else np.array([origin[0]])
+        x1 = _spatial_axis(lengths[0], shape[0], origin[0])
     else:
         x1 = origin[0] + np.linspace(0.0, lengths[0], shape[0])
-    axes = (taxis, x1) + tuple(
-        _spatial_axis(lengths[k], shape[k], origin[k]) if shape[k] > 1 else np.array([origin[k]])
-        for k in (1, 2)
+    axes = (_time_axis(t_start, t_span, steps), x1) + tuple(
+        _spatial_axis(lengths[k], shape[k], origin[k]) for k in (1, 2)
     )
     return MetricChart(
         axes=axes,
         periodic=(False, periodic_x1, True, True),
-        family="static_diagonal",
+        family="static-diagonal",
         epsilon=epsilon,
         profile=profile,
     )
@@ -362,8 +374,7 @@ def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorFiel
 
     # Diagonal tetrad: direction q only involves coordinate mu = q.
     if q == 0:
-        dt = psi.dt if len(psi.taxis) > 1 else 1.0
-        dv = differentiate(v, axis=0, spacing=dt, periodic=False)
+        dv = differentiate(v, axis=0, spacing=psi.dt, periodic=False)
     else:
         dv = differentiate(v, axis=q, spacing=chart.spacing[q], periodic=chart.periodic[q])
 
@@ -373,8 +384,3 @@ def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorFiel
     if np.any(aq != 0.0):
         out = out + np.einsum("xyzab,txyzb->txyza", aq, v)
     return psi.with_values(out)
-
-
-def volume_element(bg: Background) -> np.ndarray:
-    """sqrt(-det g) on the spatial grid."""
-    return bg.sqrt_neg_det

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ __all__ = [
     "sample_on_slice",
     "flux",
     "inner",
-    "ModeBasis",
+    "gram",
     "orthonormalize",
 ]
 
@@ -55,14 +55,6 @@ class Slice:
     label: str = "slice"
 
 
-def _cell_volume(bg: Background) -> float:
-    cell = 1.0
-    for ax in (1, 2, 3):
-        if len(bg.chart.axes[ax]) > 1:
-            cell *= bg.chart.spacing[ax]
-    return cell
-
-
 def coordinate_slice(bg: Background, t0: float, label: str | None = None) -> Slice:
     """Constant-x0 slice.  Works on every supported chart: the unit future
     normal is the time frame vector and the induced metric is the spatial
@@ -74,7 +66,7 @@ def coordinate_slice(bg: Background, t0: float, label: str | None = None) -> Sli
     g3det = -(bg.metric[..., 1, 1] * bg.metric[..., 2, 2] * bg.metric[..., 3, 3])
     if np.any(g3det <= 0.0):
         raise NotSpacelikeError("induced metric is not negative definite")
-    weights = np.sqrt(g3det) * _cell_volume(bg)
+    weights = np.sqrt(g3det) * bg.chart.cell_volume
     return Slice(background=bg, times=times, normal=normal, area_weights=weights,
                  label=label or f"x0={t0:.6g}")
 
@@ -112,27 +104,34 @@ def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float],
     normal[..., 0] = gamma
     for ax in range(3):
         normal[..., ax + 1] = gamma * v[ax]
-    weights = np.full(shape, np.sqrt(1.0 - v2) * _cell_volume(bg))
+    weights = np.full(shape, np.sqrt(1.0 - v2) * bg.chart.cell_volume)
     return Slice(background=bg, times=times, normal=normal, area_weights=weights,
                  label=label or f"tilted v={tuple(v)}")
 
 
+def _on_slice(values: np.ndarray, taxis: np.ndarray, s: Slice) -> np.ndarray:
+    """Grid samples (nt, n1, n2, n3, ...) on the slice, cubic in time between snapshots."""
+    tvals = np.unique(np.round(s.times, 12))
+    if len(tvals) == 1:
+        columns = [(slice(None), float(tvals[0]))]
+    else:
+        # Slice time varies along x1 only for the supported tilts; interpolate
+        # column by column over the leading spatial axis.
+        columns = []
+        for i in range(values.shape[1]):
+            t0 = float(s.times[i].flat[0])
+            if not np.allclose(s.times[i], t0, rtol=0.0, atol=1e-12):
+                raise NotImplementedError("slice times varying along x2/x3 are not supported")
+            columns.append((i, t0))
+    out = np.empty(values.shape[1:], dtype=values.dtype)
+    for i, t in columns:
+        out[i] = cubic_time_interpolate(values[:, i], taxis, t)
+    return out
+
+
 def sample_on_slice(psi: SpinorField, s: Slice) -> np.ndarray:
     """Spinor samples on the slice, cubic in time between stored snapshots."""
-    tvals = np.unique(np.round(s.times, 12))
-    out = np.empty(psi.values.shape[1:], dtype=psi.values.dtype)
-    if len(tvals) == 1:
-        return cubic_time_interpolate(psi.values, psi.taxis, float(tvals[0]))
-    # Slice time varies along x1 only for the supported tilts; interpolate
-    # column by column over the leading spatial axis.
-    n1 = psi.values.shape[1]
-    for i in range(n1):
-        ti = s.times[i]
-        t0 = float(ti.flat[0])
-        if not np.allclose(ti, t0, rtol=0.0, atol=1e-12):
-            raise NotImplementedError("slice times varying along x2/x3 are not supported")
-        out[i] = cubic_time_interpolate(psi.values[:, i], psi.taxis, t0)
-    return out
+    return _on_slice(psi.values, psi.taxis, s)
 
 
 def _contract_with_normal(j_values: np.ndarray, s: Slice) -> np.ndarray:
@@ -145,66 +144,54 @@ def _contract_with_normal(j_values: np.ndarray, s: Slice) -> np.ndarray:
     )
 
 
+def _slice_integral(j_values: np.ndarray, s: Slice):
+    """Rectangle-rule integral of g(J, n) dS over slice samples of a current.
+
+    Summation runs over a fixed axis order, so results are reproducible bit
+    for bit.
+    """
+    return np.sum(_contract_with_normal(j_values, s) * s.area_weights, axis=(1, 2)).sum()
+
+
 def flux(j: CurrentField, s: Slice) -> float | complex:
     """Integral of g(J, n) over the slice.
 
     The current is interpolated onto the slice in time; the quadrature is the
-    periodic rectangle rule weighted by the induced area element.  Summation
-    runs over a fixed axis order, so results are reproducible bit for bit.
+    periodic rectangle rule weighted by the induced area element.
     """
-    tvals = np.unique(np.round(s.times, 12))
-    if len(tvals) == 1:
-        js = cubic_time_interpolate(j.values, j.taxis, float(tvals[0]))
-    else:
-        js = np.empty(j.values.shape[1:], dtype=j.values.dtype)
-        for i in range(j.values.shape[1]):
-            ti = s.times[i]
-            t0 = float(ti.flat[0])
-            if not np.allclose(ti, t0, rtol=0.0, atol=1e-12):
-                raise NotImplementedError("slice times varying along x2/x3 are not supported")
-            js[i] = cubic_time_interpolate(j.values[:, i], j.taxis, t0)
-    dens = _contract_with_normal(js, s) * s.area_weights
-    total = np.sum(dens, axis=(1, 2)).sum()
-    if np.iscomplexobj(dens):
+    total = _slice_integral(_on_slice(j.values, j.taxis, s), s)
+    if np.iscomplexobj(total):
         return complex(total)
     return float(total)
+
+
+def _pair_integral(pv: np.ndarray, qv: np.ndarray, s: Slice,
+                   k: PhysicalConstants, gs: GammaSet) -> complex:
+    return complex(_slice_integral(_raw_pair_current(pv, qv, k, gs), s))
 
 
 def inner(phi: SpinorField, psi: SpinorField, s: Slice,
           k: PhysicalConstants, gs: GammaSet | None = None) -> complex:
     """Hypersurface pairing <phi | psi> = integral of g(J(phi, psi), n) dS."""
     gs = gs if gs is not None else canonical_gamma_set()
-    pv = sample_on_slice(phi, s)
-    qv = sample_on_slice(psi, s)
-    j = _raw_pair_current(pv, qv, k, gs)
-    dens = _contract_with_normal(j, s) * s.area_weights
-    return complex(np.sum(dens, axis=(1, 2)).sum())
+    return _pair_integral(sample_on_slice(phi, s), sample_on_slice(psi, s), s, k, gs)
 
 
-@dataclass
-class ModeBasis:
-    """Ordered single-particle modes paired on a common slice."""
+def gram(modes: list[SpinorField], s: Slice,
+         k: PhysicalConstants, gs: GammaSet | None = None) -> np.ndarray:
+    """Matrix of pairings inner(modes[a], modes[b], s, k, gs).
 
-    modes: list[SpinorField]
-    slice_: Slice
-    constants: PhysicalConstants
-    gamma_set: GammaSet = field(default_factory=canonical_gamma_set)
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-    def gram(self, s: Slice | None = None) -> np.ndarray:
-        s = s if s is not None else self.slice_
-        n = len(self.modes)
-        g = np.empty((n, n), dtype=np.complex128)
-        for a in range(n):
-            for b in range(n):
-                g[a, b] = inner(self.modes[a], self.modes[b], s, self.constants, self.gamma_set)
-        return g
-
-    def orthonormality_residual(self, s: Slice | None = None) -> float:
-        g = self.gram(s)
-        return float(np.max(np.abs(g - np.eye(len(self.modes)))))
+    Each mode is sampled on the slice once; the entries equal the pairwise
+    inner products bit for bit.
+    """
+    gs = gs if gs is not None else canonical_gamma_set()
+    samples = [sample_on_slice(m, s) for m in modes]
+    n = len(samples)
+    g = np.empty((n, n), dtype=np.complex128)
+    for a in range(n):
+        for b in range(n):
+            g[a, b] = _pair_integral(samples[a], samples[b], s, k, gs)
+    return g
 
 
 def orthonormalize(

@@ -9,6 +9,8 @@ so selecting a subset of suites never shifts another suite's stream.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .config import ScenarioConfig
@@ -40,13 +42,13 @@ from .geometry import (
     build_background,
     concordance_residuals,
     frame_orthonormality_residual,
-    static_diagonal_chart,
     torsion_residual,
 )
 from .pairing import (
     RankDeficientModeError,
     coordinate_slice,
     flux,
+    gram,
     inner,
     orthonormalize,
     tilted_slice,
@@ -158,17 +160,7 @@ def suite_connection(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) ->
     s = "connection"
 
     def build(shape):
-        chart = static_diagonal_chart(
-            cfg.t_start,
-            cfg.t_span,
-            cfg.steps,
-            cfg.lengths,
-            shape,
-            epsilon=cfg.epsilon,
-            profile=cfg.profile,
-            origin=cfg.origin,
-        )
-        return build_background(chart, gs)
+        return build_background(replace(cfg, shape=shape).build_chart(), gs)
 
     fine_shape = tuple(2 * n if n > 1 else 1 for n in cfg.shape)
     coarse = build(cfg.shape)
@@ -360,16 +352,8 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> Su
         exact = plane_wave(chart, mode.k_index, k, spin=mode.spin, branch=mode.branch)
         modes.append(evolve(exact.values[0], bg, k, growth_abort=cfg.growth_abort))
 
-    def gram(fields, sl):
-        n = len(fields)
-        g = np.empty((n, n), dtype=np.complex128)
-        for a in range(n):
-            for b in range(n):
-                g[a, b] = inner(fields[a], fields[b], sl, k, gs)
-        return g
-
-    g0 = gram(modes, s0)
-    gT = gram(modes, coordinate_slice(bg, t1))
+    g0 = gram(modes, s0, k, gs)
+    gT = gram(modes, coordinate_slice(bg, t1), k, gs)
     results.append(
         check_at_most(s, "gram_identity", float(np.max(np.abs(g0 - np.eye(len(modes))))), cfg.tol("hermiticity"))
     )
@@ -387,7 +371,7 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> Su
         )
         family = [modes[0], mixed] + modes[2:]
         ortho = orthonormalize(family, s0, k, gs)
-        g_on = gram(ortho, s0)
+        g_on = gram(ortho, s0, k, gs)
         results.append(
             check_at_most(
                 s,

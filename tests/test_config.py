@@ -116,7 +116,7 @@ def test_build_chart_both_families():
         "[scenario]\nsuites = connection\n"
         "[chart]\nfamily = static-diagonal\nepsilon = 0.01\nprofile = sin\n"
     ).build_chart()
-    assert curved.family == "static_diagonal"
+    assert curved.family == "static-diagonal"
     assert curved.epsilon == 0.01
 
 

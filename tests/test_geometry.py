@@ -17,7 +17,6 @@ from diracfock import (
     minkowski_chart,
     static_diagonal_chart,
     torsion_residual,
-    volume_element,
 )
 from diracfock.stencils import cubic_time_interpolate, differentiate
 
@@ -48,7 +47,7 @@ def test_flat_background_is_exactly_flat():
         assert value == 0.0, name
     assert torsion_residual(bg) == 0.0
     assert frame_orthonormality_residual(bg) == 0.0
-    assert np.all(volume_element(bg) == 1.0)
+    assert np.all(bg.sqrt_neg_det == 1.0)
 
 
 def test_linear_profile_matches_closed_form_christoffel():
@@ -69,7 +68,7 @@ def test_linear_profile_matches_closed_form_christoffel():
     mask[0, 0, 1] = mask[0, 1, 0] = mask[1, 0, 0] = False
     assert np.max(np.abs(gamma[..., mask])) == 0.0
 
-    assert np.max(np.abs(volume_element(bg) - np.sqrt(f)[:, None, None])) == 0.0
+    assert np.max(np.abs(bg.sqrt_neg_det - np.sqrt(f)[:, None, None])) == 0.0
 
 
 def test_curved_residuals_shrink_at_fourth_order():
@@ -141,6 +140,8 @@ def test_chart_validation_errors():
     with pytest.raises(ChartError):
         minkowski_chart(0.0, 1.0, 0, (1.0, 1.0, 1.0), (4, 1, 1))
     with pytest.raises(ChartError):
+        static_diagonal_chart(0.0, 1.0, 0, (1.0, 1.0, 1.0), (8, 1, 1), epsilon=0.1)
+    with pytest.raises(ChartError):
         static_diagonal_chart(0.0, 1.0, 2, (1.0, 1.0, 1.0), (8, 1, 1), epsilon=0.1, profile="exp")
     good = minkowski_chart(0.0, 1.0, 2, (1.0, 1.0, 1.0), (4, 1, 1))
     with pytest.raises(ChartError):
@@ -151,6 +152,8 @@ def test_chart_validation_errors():
         )
     with pytest.raises(ChartError):
         MetricChart(axes=good.axes, periodic=good.periodic, family="schwarzschild")
+    with pytest.raises(ChartError):
+        good.with_time_axis(0.0, 1.0, 0)
 
 
 def test_metric_must_stay_lorentzian():

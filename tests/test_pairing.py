@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from diracfock import (
-    ModeBasis,
     NotSpacelikeError,
     RankDeficientModeError,
     SpinorField,
@@ -14,6 +13,7 @@ from diracfock import (
     evolve,
     flux,
     gaussian_packet,
+    gram,
     inner,
     minkowski_chart,
     orthonormalize,
@@ -58,11 +58,24 @@ def test_normalized_wave_has_unit_flux(nat, wave_setup):
 
 def test_wave_gram_is_identity(nat, wave_setup):
     bg, modes = wave_setup
-    basis = ModeBasis(modes=modes, slice_=coordinate_slice(bg, 0.0), constants=nat)
-    assert basis.orthonormality_residual() <= 1e-12
+    eye = np.eye(len(modes))
+    assert np.max(np.abs(gram(modes, coordinate_slice(bg, 0.0), nat) - eye)) <= 1e-12
     # off-node slice exercises the cubic interpolation path
     off = coordinate_slice(bg, 0.5 + 0.37 * bg.chart.dt)
-    assert basis.orthonormality_residual(off) <= 1e-6
+    assert np.max(np.abs(gram(modes, off, nat) - eye)) <= 1e-6
+
+
+def test_gram_matches_pairwise_inner(nat, wave_setup):
+    bg, modes = wave_setup
+    for s in (
+        coordinate_slice(bg, 0.0),
+        coordinate_slice(bg, 0.5 + 0.37 * bg.chart.dt),
+        tilted_slice(bg, 0.5, (0.15, 0.0, 0.0)),
+    ):
+        pairwise = [[inner(a, b, s, nat) for b in modes] for a in modes]
+        assert np.all(gram(modes, s, nat) == np.array(pairwise)), s.label
+    chart = minkowski_chart(0.0, 1.0, 4, (1.0, 2.0, 3.0), (8, 1, 4))
+    assert chart.cell_volume == chart.spacing[1] * chart.spacing[3]
 
 
 def test_pair_flux_between_distinct_modes_vanishes(nat, wave_setup):
@@ -112,8 +125,7 @@ def test_orthonormalize_mixed_modes(nat, wave_setup):
     s = coordinate_slice(bg, 0.0)
     mixed = [modes[0], 0.6 * modes[0] + 0.8 * modes[1], modes[2]]
     ortho = orthonormalize(mixed, s, nat)
-    basis = ModeBasis(modes=ortho, slice_=s, constants=nat)
-    assert basis.orthonormality_residual() <= 1e-12
+    assert np.max(np.abs(gram(ortho, s, nat) - np.eye(len(ortho)))) <= 1e-12
     # the span is preserved: the second output lies in span(m0, m1)
     overlap = abs(inner(ortho[1], modes[1], s, nat))
     assert overlap > 0.9
