@@ -8,6 +8,7 @@ hypersurface pairing, and the fermionic Fock space built on top.
 from .constants import C_CGS, HBAR_CGS, PhysicalConstants
 from .fields import CurrentField, GridMismatchError, SpinorField
 from .spin_algebra import (
+    FRAME,
     GammaSet,
     SpinTensorSignature,
     canonical_gamma_set,

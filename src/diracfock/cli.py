@@ -1,7 +1,8 @@
 """Scenario runner: load a config, run the selected suites, write reports.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails,
-2 configuration problem, 3 numerical instability during evolution.
+2 configuration problem or unwritable output, 3 numerical instability
+during evolution.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .constants import PhysicalConstants
 from .dynamics import EvolutionUnstableError
 from .report import CheckResult, render_jsonl, render_text
 from .scenarios import BUNDLED, scenario_names
-from .spin_algebra import canonical_gamma_set
 from .suites import SUITES
 
 
@@ -34,12 +34,11 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[list[CheckResult], dict[str, str]
         constants = PhysicalConstants.natural_units(mass=cfg.mass)
     else:
         constants = PhysicalConstants.cgs(mass=cfg.mass)
-    gs = canonical_gamma_set()
 
     results: list[CheckResult] = []
     artifacts: dict[str, str] = {}
     for name in cfg.suites:
-        suite_results, suite_artifacts = SUITES[name](cfg, constants, gs)
+        suite_results, suite_artifacts = SUITES[name](cfg, constants)
         results.extend(suite_results)
         artifacts.update(suite_artifacts)
     return results, artifacts
@@ -109,7 +108,11 @@ def main(argv: list[str] | None = None) -> int:
         print("instability: %s" % exc, file=sys.stderr)
         return 3
 
-    text = write_outputs(cfg, results, artifacts)
+    try:
+        text = write_outputs(cfg, results, artifacts)
+    except OSError as exc:
+        print("output error: %s" % exc, file=sys.stderr)
+        return 2
     sys.stdout.write(text)
     return 0 if all(r.passed for r in results) else 1
 

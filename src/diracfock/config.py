@@ -244,6 +244,20 @@ def _mode_key_order(key: str):
 
 
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
+    numbers = {
+        "mass": (cfg.mass,),
+        "t_start": (cfg.t_start,),
+        "t_span": (cfg.t_span,),
+        "lengths": cfg.lengths,
+        "origin": cfg.origin,
+        "epsilon": (cfg.epsilon,),
+        "center": (cfg.packet_center,),
+        "width": (cfg.packet_width,),
+        "tilt": cfg.tilt,
+    }
+    for key, vals in numbers.items():
+        if any(x is not None and not math.isfinite(x) for x in vals):
+            raise ConfigError("%s must be finite" % key)
     if cfg.units not in ("natural", "cgs"):
         raise ConfigError("units must be natural or cgs, got %r" % cfg.units)
     if not (cfg.mass > 0):
@@ -285,6 +299,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         for ax in range(3):
             if cfg.shape[ax] == 1 and mode.k_index[ax] != 0:
                 raise ConfigError("mode %d: harmonic on collapsed axis %d" % (i + 1, ax + 1))
+    if "pairing" in cfg.suites and cfg.shape[0] == 1 and cfg.packet_carrier != 0:
+        raise ConfigError("pairing carrier: harmonic on collapsed axis 1")
 
     v = math.sqrt(sum(t * t for t in cfg.tilt))
     if v >= 1.0:
@@ -305,6 +321,16 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError("evolve and pairing suites need at least one mode")
     if "connection" in cfg.suites and cfg.family != "static-diagonal":
         raise ConfigError("connection suite needs the static-diagonal chart family")
+
+    # The 5-point stencils need 5 nodes on every active axis and, in time,
+    # 5 snapshots; cubic time interpolation on a slice needs 4.
+    for name in ("connection", "evolve", "pairing"):
+        if name in cfg.suites and any(1 < n < 5 for n in cfg.shape):
+            raise ConfigError("%s suite needs 1 or at least 5 nodes on each axis" % name)
+    if "evolve" in cfg.suites and cfg.steps < 4:
+        raise ConfigError("evolve suite needs steps >= 4")
+    if "pairing" in cfg.suites and cfg.steps < 3:
+        raise ConfigError("pairing suite needs steps >= 3")
     return cfg
 
 

@@ -13,14 +13,13 @@ C_CGS = 2.99792458e10      # cm / s
 class PhysicalConstants:
     """Planck constant, speed of light and particle mass for one model run.
 
-    ``natural`` marks the dimensionless convention hbar = c = 1; CGS is the
+    Natural units are the dimensionless convention hbar = c = 1; CGS is the
     dimensional alternative (erg s, cm/s, g).
     """
 
     hbar: float
     c: float
     mass: float
-    natural: bool = False
 
     def __post_init__(self) -> None:
         if not (self.hbar > 0 and self.c > 0):
@@ -30,11 +29,11 @@ class PhysicalConstants:
 
     @classmethod
     def natural_units(cls, mass: float = 1.0) -> "PhysicalConstants":
-        return cls(hbar=1.0, c=1.0, mass=mass, natural=True)
+        return cls(hbar=1.0, c=1.0, mass=mass)
 
     @classmethod
     def cgs(cls, mass: float) -> "PhysicalConstants":
-        return cls(hbar=HBAR_CGS, c=C_CGS, mass=mass, natural=False)
+        return cls(hbar=HBAR_CGS, c=C_CGS, mass=mass)
 
     @property
     def compton_wavenumber(self) -> float:

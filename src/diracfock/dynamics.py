@@ -14,7 +14,7 @@ import numpy as np
 from .constants import PhysicalConstants
 from .fields import CurrentField, SpinorField
 from .geometry import Background, MetricChart, covariant_derivative
-from .spin_algebra import GammaSet, canonical_gamma_set
+from .spin_algebra import FRAME
 from .stencils import differentiate
 
 __all__ = [
@@ -48,26 +48,22 @@ class EvolutionUnstableError(RuntimeError):
         )
 
 
-def _pairing_matrices(gs: GammaSet) -> np.ndarray:
-    """M^q with (M^q)_{abar b} = sum_a D_{a abar} gamma^{a q}_b; Hermitian."""
-    return np.einsum("aA,qab->qAb", gs.dirac_form, gs.gamma)
+# M^q with (M^q)_{abar b} = sum_a D_{a abar} gamma^{a q}_b; Hermitian.
+_PAIRING = np.einsum("aA,qab->qAb", FRAME.dirac_form, FRAME.gamma)
 
 
-def grid_norm(values: np.ndarray, chart: MetricChart, weights: np.ndarray | None = None) -> float:
+def grid_norm(values: np.ndarray, chart: MetricChart) -> float:
     """L2 norm of spatial spinor samples with cell-volume weighting."""
     dens = np.sum(np.abs(values) ** 2, axis=-1)
-    if weights is not None:
-        dens = dens * weights
     return float(np.sqrt(np.sum(dens) * chart.cell_volume))
 
 
 def dirac_residual(psi: SpinorField, bg: Background, k: PhysicalConstants) -> SpinorField:
     """i hbar sum_q gamma^q nabla_q psi - m c psi, returned as a field."""
-    gs = bg.gamma_set
     acc = np.zeros_like(psi.values)
     for q in range(4):
         nabla = covariant_derivative(psi, bg, q).values
-        acc += np.einsum("ab,txyzb->txyza", gs.gamma[q], nabla)
+        acc += np.einsum("ab,txyzb->txyza", FRAME.gamma[q], nabla)
     res = 1j * k.hbar * acc - (k.mass * k.c) * psi.values
     return psi.with_values(res)
 
@@ -86,7 +82,6 @@ def evolve(
     ``growth_abort`` times its initial value or stops being finite.
     """
     chart = bg.chart
-    gs = bg.gamma_set
     initial = np.asarray(initial, dtype=np.complex128)
     if initial.shape != chart.spatial_shape + (4,):
         raise ValueError("initial data does not match the chart's spatial grid")
@@ -95,7 +90,7 @@ def evolve(
     steps = len(taxis) - 1
     dt = chart.dt
     mu = k.compton_wavenumber
-    gamma = gs.gamma
+    gamma = FRAME.gamma
     u0 = bg.tetrad[..., 0, 0]
     a_frame = bg.spinor_connection
     has_connection = bool(np.any(a_frame != 0.0))
@@ -136,18 +131,14 @@ def evolve(
     return SpinorField(chart=chart, taxis=taxis, values=snapshots)
 
 
-def _raw_pair_current(
-    phi_values: np.ndarray, psi_values: np.ndarray, k: PhysicalConstants, gs: GammaSet
-) -> np.ndarray:
-    m = _pairing_matrices(gs)
-    return k.c * np.einsum("...A,qAb,...b->...q", np.conj(phi_values), m, psi_values)
+def _raw_pair_current(phi_values: np.ndarray, psi_values: np.ndarray, k: PhysicalConstants) -> np.ndarray:
+    return k.c * np.einsum("...A,qAb,...b->...q", np.conj(phi_values), _PAIRING, psi_values)
 
 
-def current(psi: SpinorField, k: PhysicalConstants, gs: GammaSet | None = None) -> CurrentField:
+def current(psi: SpinorField, k: PhysicalConstants) -> CurrentField:
     """Conserved current of one field; components are checked real, then kept
     as floats.  The reality bound is 1e-13 relative to max(1, |J|)."""
-    gs = gs if gs is not None else canonical_gamma_set()
-    j = _raw_pair_current(psi.values, psi.values, k, gs)
+    j = _raw_pair_current(psi.values, psi.values, k)
     scale = max(1.0, float(np.max(np.abs(j))) if j.size else 1.0)
     imag = float(np.max(np.abs(j.imag))) if j.size else 0.0
     if imag > 1e-13 * scale:
@@ -155,12 +146,9 @@ def current(psi: SpinorField, k: PhysicalConstants, gs: GammaSet | None = None) 
     return CurrentField(chart=psi.chart, taxis=psi.taxis, values=j.real)
 
 
-def pair_current(
-    phi: SpinorField, psi: SpinorField, k: PhysicalConstants, gs: GammaSet | None = None
-) -> CurrentField:
+def pair_current(phi: SpinorField, psi: SpinorField, k: PhysicalConstants) -> CurrentField:
     """Sesquilinear current of two fields; complex in general."""
-    gs = gs if gs is not None else canonical_gamma_set()
-    j = _raw_pair_current(phi.values, psi.values, k, gs)
+    j = _raw_pair_current(phi.values, psi.values, k)
     return CurrentField(chart=psi.chart, taxis=psi.taxis, values=j)
 
 
@@ -192,16 +180,15 @@ class TimelikeReport:
     samples: int
 
 
-def timelike_report(psi_values: np.ndarray, k: PhysicalConstants, gs: GammaSet | None = None) -> TimelikeReport:
+def timelike_report(psi_values: np.ndarray, k: PhysicalConstants) -> TimelikeReport:
     """g(J,J) and J^0 extrema plus the closed-form cross-check.
 
     Takes raw spinor samples of shape (..., 4); the current is evaluated
     pointwise, its norm both by metric contraction and by the quartic closed
     form, and the worst relative mismatch is reported.
     """
-    gs = gs if gs is not None else canonical_gamma_set()
     p = np.asarray(psi_values, dtype=np.complex128)
-    j = _raw_pair_current(p, p, k, gs)
+    j = _raw_pair_current(p, p, k)
     reality = float(np.max(np.abs(j.imag))) if j.size else 0.0
     jr = j.real
     norm_direct = current_norm(jr)
@@ -222,7 +209,7 @@ def divergence(j: CurrentField, bg: Background) -> np.ndarray:
     """sum_q nabla_q J^q over the grid, shape (nt, n1, n2, n3)."""
     chart = bg.chart
     v = j.values
-    eta = np.real(bg.gamma_set.metric)
+    eta = np.real(FRAME.metric)
 
     out = bg.tetrad[None, ..., 0, 0] * differentiate(v[..., 0], axis=0, spacing=j.dt, periodic=False)
     for ax in (1, 2, 3):
@@ -249,16 +236,14 @@ def action_value(
     the integrand is real pointwise up to rounding; integration uses cell
     weights sqrt(-det g) with trapezoid ends on the time axis.
     """
-    gs = bg.gamma_set
     chart = psi.chart
-    m = _pairing_matrices(gs)
 
     dens = np.zeros(psi.values.shape[:-1], dtype=np.complex128)
     for q in range(4):
         nab = covariant_derivative(psi, bg, q).values
-        zq = np.einsum("...A,Ab,...b->...", np.conj(psi.values), m[q], nab)
+        zq = np.einsum("...A,Ab,...b->...", np.conj(psi.values), _PAIRING[q], nab)
         dens += 0.5j * k.hbar * (zq - np.conj(zq))
-    mass_dens = np.einsum("...A,Ab,...b->...", np.conj(psi.values), gs.dirac_form.T, psi.values)
+    mass_dens = np.einsum("...A,Ab,...b->...", np.conj(psi.values), FRAME.dirac_form.T, psi.values)
     dens -= (k.mass * k.c) * mass_dens
 
     weights = np.ones(dens.shape)
@@ -279,7 +264,6 @@ def dispersion_mode(
     k: PhysicalConstants,
     spin: int = 0,
     branch: int = +1,
-    gs: GammaSet | None = None,
 ) -> tuple[float, np.ndarray]:
     """Frequency and unit spinor of a plane-wave solution.
 
@@ -287,7 +271,6 @@ def dispersion_mode(
     factor (w gamma^0 - k.gamma + mu) to a seed basis column; w is
     branch * sqrt(|k|^2 + mu^2) with mu = mc/hbar.
     """
-    gs = gs if gs is not None else canonical_gamma_set()
     if spin not in (0, 1):
         raise ValueError("spin must be 0 or 1")
     if branch not in (+1, -1):
@@ -295,7 +278,7 @@ def dispersion_mode(
     mu = k.compton_wavenumber
     kk = np.asarray(kvec, dtype=float)
     w = branch * float(np.sqrt(kk @ kk + mu * mu))
-    a = w * gs.gamma[0] - sum(kk[i] * gs.gamma[i + 1] for i in range(3))
+    a = w * FRAME.gamma[0] - sum(kk[i] * FRAME.gamma[i + 1] for i in range(3))
     u = (a + mu * np.eye(4)) @ np.eye(4)[:, spin]
     nrm = np.linalg.norm(u)
     if nrm < 1e-12:
@@ -321,13 +304,12 @@ def plane_wave(
     k: PhysicalConstants,
     spin: int = 0,
     branch: int = +1,
-    normalize: bool = True,
 ) -> SpinorField:
     """Analytic plane-wave solution sampled on the whole chart.
 
     Wave numbers are integer multiples of the box harmonics, so the samples
-    are exactly periodic.  With ``normalize`` the amplitude is set so the
-    spatial integral of |psi|^2 equals one.
+    are exactly periodic.  The amplitude is set so the spatial integral of
+    |psi|^2 equals one.
     """
     if chart.family != "minkowski":
         raise ValueError("plane waves are defined on the flat chart")
@@ -339,7 +321,7 @@ def plane_wave(
         shape = [1, 1, 1, 1]
         shape[ax + 1] = len(chart.axes[ax + 1])
         phase = phase + kk[ax] * chart.axes[ax + 1].reshape(shape)
-    amp = 1.0 / np.sqrt(chart.spatial_volume) if normalize else 1.0
+    amp = 1.0 / np.sqrt(chart.spatial_volume)
     values = amp * np.exp(1j * phase)[..., None] * u
     return SpinorField(chart=chart, taxis=t, values=values)
 
@@ -350,15 +332,15 @@ def gaussian_packet(
     center: float,
     width: float,
     carrier_index: int = 0,
-    spin: int = 0,
 ) -> np.ndarray:
     """Normalized Gaussian initial data along x1 with a plane-wave carrier.
 
-    Not a solution; intended as initial data for ``evolve``.  The envelope
-    must decay to rounding at the periodic wrap for flux statements to hold.
+    The carrier spinor is the spin-0, positive-branch mode.  Not a solution;
+    intended as initial data for ``evolve``.  The envelope must decay to
+    rounding at the periodic wrap for flux statements to hold.
     """
     kk = _wave_numbers(chart, (carrier_index, 0, 0))
-    _, u = dispersion_mode(tuple(kk), k, spin=spin, branch=+1)
+    _, u = dispersion_mode(tuple(kk), k)
     x = chart.axes[1]
     env = np.exp(-((x - center) ** 2) / (2.0 * width**2)) * np.exp(1j * kk[0] * x)
     values = env[:, None, None, None] * u

@@ -9,7 +9,6 @@ connection one-form and the spinor connection coefficients.
 Index conventions for cached arrays (leading axes are the spatial grid):
     metric[..., i, j]          coordinate components
     tetrad[..., q, mu]         frame vector q, coordinate component mu
-    cotetrad[..., p, mu]       coframe p, coordinate component mu
     christoffel[..., k, i, j]  Gamma^k_{ij}
     omega[..., q, p, r]        frame-direction connection form, p r lowered
     spinor_connection[..., q, a, b]   A_q in the frame direction q
@@ -23,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import GridMismatchError, SpinorField
-from .spin_algebra import GammaSet, canonical_gamma_set
+from .spin_algebra import FRAME
 from .stencils import differentiate
 
 __all__ = [
@@ -192,11 +191,8 @@ class Background:
     """Chart plus every metric-derived array cached on the spatial grid."""
 
     chart: MetricChart
-    gamma_set: GammaSet
     metric: np.ndarray
-    metric_inv: np.ndarray
     tetrad: np.ndarray
-    cotetrad: np.ndarray
     christoffel: np.ndarray
     omega: np.ndarray
     spinor_connection: np.ndarray
@@ -214,7 +210,7 @@ def _spatial_derivative(chart: MetricChart, values: np.ndarray, mu: int) -> np.n
     return differentiate(values, axis=mu - 1, spacing=chart.spacing[mu], periodic=chart.periodic[mu])
 
 
-def build_background(chart: MetricChart, gamma_set: GammaSet | None = None) -> Background:
+def build_background(chart: MetricChart) -> Background:
     """Levi-Civita data and the induced spinor connection for the chart.
 
     Christoffel symbols come from 4th-order finite differences of the metric;
@@ -222,7 +218,6 @@ def build_background(chart: MetricChart, gamma_set: GammaSet | None = None) -> B
     coefficients are A_q = (1/4) omega_{q,pr} gamma^p gamma^r.  Failure modes:
     non-Lorentzian signature and vanishing metric determinant raise ChartError.
     """
-    gs = gamma_set if gamma_set is not None else canonical_gamma_set()
     g = chart.metric_values()
 
     diag = np.stack([g[..., i, i] for i in range(4)], axis=-1)
@@ -262,21 +257,18 @@ def build_background(chart: MetricChart, gamma_set: GammaSet | None = None) -> B
     omega_coord = np.einsum("...pn,...mrn->...mpr", cotetrad, dtet) + np.einsum(
         "...pn,...nml,...rl->...mpr", cotetrad, christoffel, tetrad
     )
-    eta = np.real(gs.metric)
+    eta = np.real(FRAME.metric)
     omega_coord = np.einsum("ps,...msr->...mpr", eta, omega_coord)  # lower p
 
     # Frame-direction form and spinor coefficients.
     omega = np.einsum("...qm,...mpr->...qpr", tetrad, omega_coord)
-    gamma_products = np.einsum("pab,rbc->prac", gs.gamma, gs.gamma)
+    gamma_products = np.einsum("pab,rbc->prac", FRAME.gamma, FRAME.gamma)
     spinor_connection = 0.25 * np.einsum("...qpr,prab->...qab", omega, gamma_products)
 
     return Background(
         chart=chart,
-        gamma_set=gs,
         metric=g,
-        metric_inv=ginv,
         tetrad=tetrad,
-        cotetrad=cotetrad,
         christoffel=christoffel,
         omega=omega,
         spinor_connection=spinor_connection,
@@ -314,28 +306,27 @@ def concordance_residuals(bg: Background) -> ConcordanceReport:
     derivatives reduce to connection contractions; the residuals measure how
     far the discretized connection is from a metric connection.
     """
-    gs = bg.gamma_set
     a = bg.spinor_connection             # [..., q, a, b]
     at = np.swapaxes(a, -1, -2)
     omega = bg.omega                     # [..., q, p, r] lowered
-    eta = np.real(gs.metric)
+    eta = np.real(FRAME.metric)
 
     r_metric = float(np.max(np.abs(omega + np.swapaxes(omega, -1, -2))))
 
-    d = gs.skew_metric
+    d = FRAME.skew_metric
     r_skew = float(np.max(np.abs(np.einsum("...qab,bc->...qac", at, d) + np.einsum("ab,...qbc->...qac", d, a))))
 
-    h = gs.chirality
+    h = FRAME.chirality
     r_chir = float(np.max(np.abs(np.einsum("...qab,bc->...qac", a, h) - np.einsum("ab,...qbc->...qac", h, a))))
 
-    df = gs.dirac_form
+    df = FRAME.dirac_form
     r_dirac = float(
         np.max(np.abs(np.einsum("...qab,bc->...qac", at, df) + np.einsum("ab,...qbc->...qac", df, np.conj(a))))
     )
 
     omega_up = np.einsum("ps,...qsr->...qpr", eta, omega)  # raise p back
-    rot = np.einsum("...qpr,rab->...qpab", omega_up, gs.gamma)
-    comm = np.einsum("...qab,pbc->...qpac", a, gs.gamma) - np.einsum("pab,...qbc->...qpac", gs.gamma, a)
+    rot = np.einsum("...qpr,rab->...qpab", omega_up, FRAME.gamma)
+    comm = np.einsum("...qab,pbc->...qpac", a, FRAME.gamma) - np.einsum("pab,...qbc->...qpac", FRAME.gamma, a)
     r_gamma = float(np.max(np.abs(rot + comm)))
 
     return ConcordanceReport(
@@ -354,7 +345,7 @@ def torsion_residual(bg: Background) -> float:
 
 def frame_orthonormality_residual(bg: Background) -> float:
     """Max-norm of g(Y_p, Y_r) - eta_{pr} over the grid."""
-    eta = np.real(bg.gamma_set.metric)
+    eta = np.real(FRAME.metric)
     gram = np.einsum("...pm,...mn,...rn->...pr", bg.tetrad, bg.metric, bg.tetrad)
     return float(np.max(np.abs(gram - eta)))
 

@@ -10,7 +10,6 @@ from .constants import PhysicalConstants
 from .dynamics import _raw_pair_current
 from .fields import CurrentField, SpinorField
 from .geometry import Background
-from .spin_algebra import GammaSet, canonical_gamma_set
 from .stencils import cubic_time_interpolate
 
 __all__ = [
@@ -52,10 +51,9 @@ class Slice:
     times: np.ndarray          # (n1, n2, n3)
     normal: np.ndarray         # (n1, n2, n3, 4)
     area_weights: np.ndarray   # (n1, n2, n3)
-    label: str = "slice"
 
 
-def coordinate_slice(bg: Background, t0: float, label: str | None = None) -> Slice:
+def coordinate_slice(bg: Background, t0: float) -> Slice:
     """Constant-x0 slice.  Works on every supported chart: the unit future
     normal is the time frame vector and the induced metric is the spatial
     block, so the area element is sqrt(-det g3)."""
@@ -67,14 +65,14 @@ def coordinate_slice(bg: Background, t0: float, label: str | None = None) -> Sli
     if np.any(g3det <= 0.0):
         raise NotSpacelikeError("induced metric is not negative definite")
     weights = np.sqrt(g3det) * bg.chart.cell_volume
-    return Slice(background=bg, times=times, normal=normal, area_weights=weights,
-                 label=label or f"x0={t0:.6g}")
+    return Slice(background=bg, times=times, normal=normal, area_weights=weights)
 
 
-def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float],
-                 pivot: tuple[float, float, float] | None = None,
-                 label: str | None = None) -> Slice:
+def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float]) -> Slice:
     """Plane x0 = t0 + v.(x - pivot) on the flat chart, |v| < 1.
+
+    The pivot is the centre of the periodic box; a suppressed axis pivots at
+    its single node.
 
     The unit future normal is (1, v)/sqrt(1 - |v|^2) and the induced area
     element sqrt(1 - |v|^2), so g(J, n) dS reduces to (J^0 - v.J) d3x.
@@ -87,12 +85,11 @@ def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float],
         raise NotSpacelikeError(f"tilt speed |v| = {np.sqrt(v2):.3f} is not subluminal")
     chart = bg.chart
     shape = chart.spatial_shape
-    if pivot is None:
-        pivot = tuple(
-            float(chart.axes[ax + 1][0]) + 0.5 * len(chart.axes[ax + 1]) * chart.spacing[ax + 1]
-            if len(chart.axes[ax + 1]) > 1 else float(chart.axes[ax + 1][0])
-            for ax in range(3)
-        )
+    pivot = tuple(
+        float(chart.axes[ax + 1][0]) + 0.5 * len(chart.axes[ax + 1]) * chart.spacing[ax + 1]
+        if len(chart.axes[ax + 1]) > 1 else float(chart.axes[ax + 1][0])
+        for ax in range(3)
+    )
     times = np.full(shape, float(t0))
     for ax in range(3):
         if v[ax] != 0.0:
@@ -105,8 +102,7 @@ def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float],
     for ax in range(3):
         normal[..., ax + 1] = gamma * v[ax]
     weights = np.full(shape, np.sqrt(1.0 - v2) * bg.chart.cell_volume)
-    return Slice(background=bg, times=times, normal=normal, area_weights=weights,
-                 label=label or f"tilted v={tuple(v)}")
+    return Slice(background=bg, times=times, normal=normal, area_weights=weights)
 
 
 def _on_slice(values: np.ndarray, taxis: np.ndarray, s: Slice) -> np.ndarray:
@@ -165,58 +161,46 @@ def flux(j: CurrentField, s: Slice) -> float | complex:
     return float(total)
 
 
-def _pair_integral(pv: np.ndarray, qv: np.ndarray, s: Slice,
-                   k: PhysicalConstants, gs: GammaSet) -> complex:
-    return complex(_slice_integral(_raw_pair_current(pv, qv, k, gs), s))
+def _pair_integral(pv: np.ndarray, qv: np.ndarray, s: Slice, k: PhysicalConstants) -> complex:
+    return complex(_slice_integral(_raw_pair_current(pv, qv, k), s))
 
 
-def inner(phi: SpinorField, psi: SpinorField, s: Slice,
-          k: PhysicalConstants, gs: GammaSet | None = None) -> complex:
+def inner(phi: SpinorField, psi: SpinorField, s: Slice, k: PhysicalConstants) -> complex:
     """Hypersurface pairing <phi | psi> = integral of g(J(phi, psi), n) dS."""
-    gs = gs if gs is not None else canonical_gamma_set()
-    return _pair_integral(sample_on_slice(phi, s), sample_on_slice(psi, s), s, k, gs)
+    return _pair_integral(sample_on_slice(phi, s), sample_on_slice(psi, s), s, k)
 
 
-def gram(modes: list[SpinorField], s: Slice,
-         k: PhysicalConstants, gs: GammaSet | None = None) -> np.ndarray:
-    """Matrix of pairings inner(modes[a], modes[b], s, k, gs).
+def gram(modes: list[SpinorField], s: Slice, k: PhysicalConstants) -> np.ndarray:
+    """Matrix of pairings inner(modes[a], modes[b], s, k).
 
     Each mode is sampled on the slice once; the entries equal the pairwise
     inner products bit for bit.
     """
-    gs = gs if gs is not None else canonical_gamma_set()
     samples = [sample_on_slice(m, s) for m in modes]
     n = len(samples)
     g = np.empty((n, n), dtype=np.complex128)
     for a in range(n):
         for b in range(n):
-            g[a, b] = _pair_integral(samples[a], samples[b], s, k, gs)
+            g[a, b] = _pair_integral(samples[a], samples[b], s, k)
     return g
 
 
-def orthonormalize(
-    modes: list[SpinorField],
-    s: Slice,
-    k: PhysicalConstants,
-    gs: GammaSet | None = None,
-    rank_tol: float = 1e-10,
-) -> list[SpinorField]:
+def orthonormalize(modes: list[SpinorField], s: Slice, k: PhysicalConstants) -> list[SpinorField]:
     """Modified Gram-Schmidt under the hypersurface pairing.
 
     Subtracts projections sequentially and normalizes; raises
     RankDeficientModeError naming the first mode whose remainder norm falls
-    below rank_tol times its incoming norm.
+    below 1e-10 times its incoming norm.
     """
-    gs = gs if gs is not None else canonical_gamma_set()
     out: list[SpinorField] = []
     for idx, mode in enumerate(modes):
         work = mode
-        incoming = np.sqrt(abs(inner(work, work, s, k, gs)))
+        incoming = np.sqrt(abs(inner(work, work, s, k)))
         for prev in out:
-            c = inner(prev, work, s, k, gs)
+            c = inner(prev, work, s, k)
             work = work - c * prev
-        nrm2 = inner(work, work, s, k, gs).real
-        if incoming == 0.0 or nrm2 <= (rank_tol * incoming) ** 2:
+        nrm2 = inner(work, work, s, k).real
+        if incoming == 0.0 or nrm2 <= (1e-10 * incoming) ** 2:
             raise RankDeficientModeError(idx)
         out.append(work * (1.0 / np.sqrt(nrm2)))
     return out

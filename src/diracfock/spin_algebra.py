@@ -17,6 +17,7 @@ __all__ = [
     "SpinTensorSignature",
     "DiracFormReport",
     "canonical_gamma_set",
+    "FRAME",
     "tau_conjugate",
     "check_dirac_form_identities",
     "clifford_residual",
@@ -112,10 +113,6 @@ class GammaSet:
     metric: np.ndarray      # g, frame components, two tensor indices down
     skew_metric: np.ndarray  # d, two spinor indices down
 
-    def metric_inverse(self) -> np.ndarray:
-        # Frame metric is its own inverse: diag(1, -1, -1, -1).
-        return self.metric
-
 
 def canonical_gamma_set() -> GammaSet:
     """Exact matrices of the chiral frame."""
@@ -162,6 +159,10 @@ def canonical_gamma_set() -> GammaSet:
     )
 
 
+# The one frame every layer works in, built once at import.
+FRAME = canonical_gamma_set()
+
+
 def tau_conjugate(block: np.ndarray, signature: SpinTensorSignature) -> tuple[np.ndarray, SpinTensorSignature]:
     """Conjugation involution on a spin-tensor component block.
 
@@ -196,30 +197,33 @@ class DiracFormReport:
         return max(self.hermiticity_residual, self.contraction_residual)
 
 
-def check_dirac_form_identities(gs: GammaSet) -> DiracFormReport:
+def check_dirac_form_identities(frame: GammaSet) -> DiracFormReport:
     """Residuals of D's hermiticity and of its gamma contraction symmetry.
 
     hermiticity: max |D_{a abar} - conj(D_{abar a})|
     contraction: max over q of
         |sum_a D_{a abar} gamma^{a q}_b - sum_sbar D_{b sbar} conj(gamma^{sbar q}_abar)|
     """
-    d = gs.dirac_form
+    d = frame.dirac_form
     herm = float(np.max(np.abs(d - np.conj(d.T))))
     contraction = 0.0
     for q in range(4):
-        lhs = d.T @ gs.gamma[q]                 # indexed (abar, b)
-        rhs = (d @ np.conj(gs.gamma[q])).T      # indexed (abar, b)
+        lhs = d.T @ frame.gamma[q]                 # indexed (abar, b)
+        rhs = (d @ np.conj(frame.gamma[q])).T      # indexed (abar, b)
         contraction = max(contraction, float(np.max(np.abs(lhs - rhs))))
     return DiracFormReport(hermiticity_residual=herm, contraction_residual=contraction)
 
 
-def clifford_residual(gs: GammaSet) -> float:
-    """Max-norm defect of gamma^p gamma^q + gamma^q gamma^p = 2 g^{pq} I."""
-    ginv = gs.metric_inverse()
+def clifford_residual(frame: GammaSet) -> float:
+    """Max-norm defect of gamma^p gamma^q + gamma^q gamma^p = 2 g^{pq} I.
+
+    The frame metric diag(1, -1, -1, -1) is its own inverse.
+    """
+    ginv = frame.metric
     eye = np.eye(4)
     worst = 0.0
     for p in range(4):
         for q in range(4):
-            anti = gs.gamma[p] @ gs.gamma[q] + gs.gamma[q] @ gs.gamma[p]
+            anti = frame.gamma[p] @ frame.gamma[q] + frame.gamma[q] @ frame.gamma[p]
             worst = max(worst, float(np.max(np.abs(anti - 2.0 * ginv[p, q] * eye))))
     return worst

@@ -1,7 +1,7 @@
 """Verification suites run by the scenario CLI.
 
-Each suite takes a validated configuration plus the physical constants and
-gamma set, and returns a list of check results together with any text
+Each suite takes a validated configuration plus the physical constants, and
+returns a list of check results together with any text
 artifacts (time series, vector dumps) keyed by output file name.  All
 randomness is drawn from generators seeded with (config seed, suite salt),
 so selecting a subset of suites never shifts another suite's stream.
@@ -63,9 +63,9 @@ from .report import (
 )
 from .spin_algebra import (
     DIRAC_FORM_SIGNATURE,
+    FRAME,
     GAMMA_SIGNATURE,
     METRIC_SIGNATURE,
-    GammaSet,
     check_dirac_form_identities,
     clifford_residual,
     tau_conjugate,
@@ -94,47 +94,47 @@ def _expected_gamma() -> np.ndarray:
     return np.stack(mats)
 
 
-def suite_identities(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> SuiteOutput:
+def suite_identities(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results: list[CheckResult] = []
     s = "identities"
 
     results.append(
-        check_exact_zero(s, "gamma_matrix_entries", float(np.max(np.abs(gs.gamma - _expected_gamma()))))
+        check_exact_zero(s, "gamma_matrix_entries", float(np.max(np.abs(FRAME.gamma - _expected_gamma()))))
     )
     eta = np.diag([1.0, -1.0, -1.0, -1.0]).astype(np.complex128)
-    results.append(check_exact_zero(s, "metric_signature", float(np.max(np.abs(gs.metric - eta)))))
+    results.append(check_exact_zero(s, "metric_signature", float(np.max(np.abs(FRAME.metric - eta)))))
 
-    form = check_dirac_form_identities(gs)
+    form = check_dirac_form_identities(FRAME)
     results.append(check_exact_zero(s, "dirac_form_hermiticity", form.hermiticity_residual))
     results.append(check_exact_zero(s, "dirac_form_contraction", form.contraction_residual))
-    results.append(check_exact_zero(s, "clifford_residual", clifford_residual(gs)))
+    results.append(check_exact_zero(s, "clifford_residual", clifford_residual(FRAME)))
     results.append(
         check_exact_zero(
-            s, "chirality_square", float(np.max(np.abs(gs.chirality @ gs.chirality - np.eye(4))))
+            s, "chirality_square", float(np.max(np.abs(FRAME.chirality @ FRAME.chirality - np.eye(4))))
         )
     )
     results.append(
         check_exact_zero(
-            s, "form_equals_time_gamma", float(np.max(np.abs(gs.dirac_form - gs.gamma[0])))
+            s, "form_equals_time_gamma", float(np.max(np.abs(FRAME.dirac_form - FRAME.gamma[0])))
         )
     )
     results.append(
         check_exact_zero(
-            s, "skew_metric_antisymmetry", float(np.max(np.abs(gs.skew_metric + gs.skew_metric.T)))
+            s, "skew_metric_antisymmetry", float(np.max(np.abs(FRAME.skew_metric + FRAME.skew_metric.T)))
         )
     )
     results.append(
         check_exact_zero(
             s,
             "metric_conjugation_reality",
-            float(np.max(np.abs(tau_conjugate(gs.metric, METRIC_SIGNATURE)[0] - gs.metric))),
+            float(np.max(np.abs(tau_conjugate(FRAME.metric, METRIC_SIGNATURE)[0] - FRAME.metric))),
         )
     )
     results.append(
         check_exact_zero(
             s,
             "form_conjugation_reality",
-            float(np.max(np.abs(tau_conjugate(gs.dirac_form, DIRAC_FORM_SIGNATURE)[0] - gs.dirac_form))),
+            float(np.max(np.abs(tau_conjugate(FRAME.dirac_form, DIRAC_FORM_SIGNATURE)[0] - FRAME.dirac_form))),
         )
     )
 
@@ -155,12 +155,12 @@ _CONCORDANCE_FIELDS = (
 )
 
 
-def suite_connection(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> SuiteOutput:
+def suite_connection(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results: list[CheckResult] = []
     s = "connection"
 
     def build(shape):
-        return build_background(replace(cfg, shape=shape).build_chart(), gs)
+        return build_background(replace(cfg, shape=shape).build_chart())
 
     fine_shape = tuple(2 * n if n > 1 else 1 for n in cfg.shape)
     coarse = build(cfg.shape)
@@ -199,7 +199,7 @@ def _flux_series(out: SpinorField, bg, j, dj) -> list[tuple[int, float, float, f
     return rows
 
 
-def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> SuiteOutput:
+def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results: list[CheckResult] = []
     artifacts: dict[str, str] = {}
     s = "evolve"
@@ -209,7 +209,7 @@ def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> Sui
     for mult in (1, 2, 4):
         chart = cfg.build_chart().with_time_axis(cfg.t_start, cfg.t_span, cfg.steps * mult)
         charts[mult] = chart
-        backgrounds[mult] = build_background(chart, gs)
+        backgrounds[mult] = build_background(chart)
 
     base_chart = charts[1]
     base_bg = backgrounds[1]
@@ -276,14 +276,14 @@ def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> Sui
     return results, artifacts
 
 
-def suite_current(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> SuiteOutput:
+def suite_current(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     from .dynamics import timelike_report
 
     results: list[CheckResult] = []
     s = "current"
     rng = _rng(cfg, s)
     samples = rng.standard_normal((cfg.samples, 4)) + 1j * rng.standard_normal((cfg.samples, 4))
-    rep = timelike_report(samples, k, gs)
+    rep = timelike_report(samples, k)
 
     results.append(check_at_least(s, "norm_nonnegative", rep.min_norm, -cfg.tol("timelike_floor")))
     results.append(check_at_least(s, "time_component_nonnegative", rep.min_time_component, 0.0))
@@ -295,14 +295,14 @@ def suite_current(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> Su
 
     # frozen single-point currents with integer spinor entries
     e0 = np.array([1, 0, 0, 0], dtype=np.complex128)
-    j0 = _raw_pair_current(e0, e0, k, gs).real
+    j0 = _raw_pair_current(e0, e0, k).real
     results.append(
         check_exact_zero(
             s, "lightlike_example", float(np.max(np.abs(j0 - k.c * np.array([1.0, 0, 0, 1.0]))))
         )
     )
     bal = np.array([1, 0, 1, 0], dtype=np.complex128)
-    jb = _raw_pair_current(bal, bal, k, gs).real
+    jb = _raw_pair_current(bal, bal, k).real
     results.append(
         check_exact_zero(
             s, "rest_example", float(np.max(np.abs(jb - k.c * np.array([2.0, 0, 0, 0]))))
@@ -311,11 +311,11 @@ def suite_current(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> Su
     return results, {}
 
 
-def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> SuiteOutput:
+def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results: list[CheckResult] = []
     s = "pairing"
     chart = cfg.build_chart()
-    bg = build_background(chart, gs)
+    bg = build_background(chart)
     t0 = float(chart.axes[0][0])
     t1 = float(chart.axes[0][-1])
 
@@ -352,8 +352,8 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> Su
         exact = plane_wave(chart, mode.k_index, k, spin=mode.spin, branch=mode.branch)
         modes.append(evolve(exact.values[0], bg, k, growth_abort=cfg.growth_abort))
 
-    g0 = gram(modes, s0, k, gs)
-    gT = gram(modes, coordinate_slice(bg, t1), k, gs)
+    g0 = gram(modes, s0, k)
+    gT = gram(modes, coordinate_slice(bg, t1), k)
     results.append(
         check_at_most(s, "gram_identity", float(np.max(np.abs(g0 - np.eye(len(modes))))), cfg.tol("hermiticity"))
     )
@@ -362,7 +362,7 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> Su
         check_at_most(s, "hermiticity", float(np.max(np.abs(g0 - g0.conj().T))), cfg.tol("hermiticity"))
     )
     self_inners = [float(np.real(g0[a, a])) for a in range(len(modes))]
-    self_inners.append(float(np.real(inner(out, out, s0, k, gs))))
+    self_inners.append(float(np.real(inner(out, out, s0, k))))
     results.append(check_at_least(s, "positivity", min(self_inners), 0.0))
 
     if len(modes) >= 2:
@@ -370,8 +370,8 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> Su
             chart=chart, taxis=chart.axes[0], values=0.6 * modes[0].values + 0.8 * modes[1].values
         )
         family = [modes[0], mixed] + modes[2:]
-        ortho = orthonormalize(family, s0, k, gs)
-        g_on = gram(ortho, s0, k, gs)
+        ortho = orthonormalize(family, s0, k)
+        g_on = gram(ortho, s0, k)
         results.append(
             check_at_most(
                 s,
@@ -385,14 +385,14 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> Su
         )
         flag = 1.0
         try:
-            orthonormalize([modes[0], modes[1], dependent], s0, k, gs)
+            orthonormalize([modes[0], modes[1], dependent], s0, k)
         except RankDeficientModeError as exc:
             flag = 0.0 if exc.index == 2 else 1.0
         results.append(check_exact_zero(s, "rank_deficiency_detected", flag))
     return results, {}
 
 
-def suite_fock(cfg: ScenarioConfig, k: PhysicalConstants, gs: GammaSet) -> SuiteOutput:
+def suite_fock(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results: list[CheckResult] = []
     s = "fock"
 

@@ -125,3 +125,29 @@ def test_config_file_and_bundled_name_agree(tmp_path, capsys):
     assert main(["run", "flat_identities", "--suite", "identities", "--out", out_b]) == 0
     capsys.readouterr()
     assert read(os.path.join(out_a, "report.txt")) == read(os.path.join(out_b, "report.txt"))
+
+
+CLI_PROBES = {
+    "evolve_steps_3": "[scenario]\nsuites = evolve\n[chart]\nsteps = 3\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "lengths_inf": "[scenario]\nsuites = evolve\n[chart]\nlengths = inf 6.28 6.28\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "epsilon_nan": "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nepsilon = nan\n",
+    "out_is_a_file": None,
+}
+
+
+@pytest.mark.parametrize("probe", sorted(CLI_PROBES))
+def test_bad_input_exits_two_with_one_line(tmp_path, capsys, probe):
+    text = CLI_PROBES[probe]
+    if text is None:
+        config = "flat_identities"
+        out = tmp_path / "taken"
+        out.write_text("")
+    else:
+        config = tmp_path / "probe.ini"
+        config.write_text(text)
+        out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(("config error:", "output error:"))
+    assert "Traceback" not in err

@@ -155,6 +155,23 @@ BAD_DOCUMENTS = [
     "[scenario]\nsuites = connection\n",  # connection needs the curved family
     "[scenario]\nsuites = evolve\n[chart]\nfamily = static-diagonal\n[modes]\nm1 = 0 0 0 0 +1\n",
     "not an ini document",
+    # grids too small for the 5-point stencils or for cubic time interpolation
+    "[scenario]\nsuites = evolve\n[chart]\nsteps = 3\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "[scenario]\nsuites = pairing\n[chart]\nsteps = 2\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "[scenario]\nsuites = evolve\n[chart]\nshape = 3 1 1\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nshape = 4 1 1\n",
+    # non-finite numbers
+    "[scenario]\nmass = inf\n",
+    "[chart]\nt_start = inf\n",
+    "[chart]\nt_span = inf\n",
+    "[chart]\nlengths = inf 6.28 6.28\n",
+    "[chart]\norigin = nan 0 0\n",
+    "[chart]\nepsilon = nan\n",
+    "[pairing]\ncenter = nan\n",
+    "[pairing]\nwidth = inf\n",
+    "[pairing]\ntilt = nan 0 0\n",
+    # the default carrier harmonic 2 on a collapsed x1
+    "[scenario]\nsuites = pairing\n[chart]\nshape = 1 16 1\n[modes]\nm1 = 0 0 0 0 +1\n",
 ]
 
 

@@ -73,7 +73,7 @@ def test_gram_matches_pairwise_inner(nat, wave_setup):
         tilted_slice(bg, 0.5, (0.15, 0.0, 0.0)),
     ):
         pairwise = [[inner(a, b, s, nat) for b in modes] for a in modes]
-        assert np.all(gram(modes, s, nat) == np.array(pairwise)), s.label
+        assert np.all(gram(modes, s, nat) == np.array(pairwise))
     chart = minkowski_chart(0.0, 1.0, 4, (1.0, 2.0, 3.0), (8, 1, 4))
     assert chart.cell_volume == chart.spacing[1] * chart.spacing[3]
 
