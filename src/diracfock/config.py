@@ -116,126 +116,103 @@ class ScenarioConfig:
         return validate(cfg)
 
 
-_KNOWN_KEYS = {
+def _text(raw: str, what: str) -> str:
+    return raw
+
+
+def _words(raw: str, what: str) -> tuple[str, ...]:
+    return tuple(raw.replace(",", " ").split())
+
+
+def _number(cast, n: int | None = None):
+    """Parser for one number, or for exactly n when n is given; floats must be finite."""
+
+    def parse(raw: str, what: str):
+        parts = [raw] if n is None else raw.replace(",", " ").split()
+        if n is not None and len(parts) != n:
+            kind = "numbers" if cast is float else "integers"
+            raise ConfigError("%s needs %d %s, got %r" % (what, n, kind, raw))
+        try:
+            vals = tuple(cast(p) for p in parts)
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (what, exc)) from exc
+        if cast is float and not all(math.isfinite(x) for x in vals):
+            raise ConfigError("%s must be finite" % what)
+        return vals if n is not None else vals[0]
+
+    return parse
+
+
+# section -> key -> (ScenarioConfig field, parser).  [modes] (free-form keys)
+# and [tolerances] (the keys of DEFAULT_TOLERANCES) are parsed in parse_config.
+_GRAMMAR = {
     "scenario": {
-        "name", "units", "mass", "seed", "samples", "fock_modes",
-        "growth_abort", "suites", "out",
+        "name": ("name", _text),
+        "units": ("units", _text),
+        "mass": ("mass", _number(float)),
+        "seed": ("seed", _number(int)),
+        "samples": ("samples", _number(int)),
+        "fock_modes": ("fock_modes", _number(int)),
+        "growth_abort": ("growth_abort", _number(float)),
+        "suites": ("suites", _words),
+        "out": ("out_dir", _text),
     },
     "chart": {
-        "family", "t_start", "t_span", "steps", "lengths", "shape",
-        "origin", "epsilon", "profile",
+        "family": ("family", _text),
+        "t_start": ("t_start", _number(float)),
+        "t_span": ("t_span", _number(float)),
+        "steps": ("steps", _number(int)),
+        "lengths": ("lengths", _number(float, 3)),
+        "shape": ("shape", _number(int, 3)),
+        "origin": ("origin", _number(float, 3)),
+        "epsilon": ("epsilon", _number(float)),
+        "profile": ("profile", _text),
     },
-    "pairing": {"center", "width", "carrier", "tilt"},
-    "tolerances": set(DEFAULT_TOLERANCES),
+    "pairing": {
+        "center": ("packet_center", _number(float)),
+        "width": ("packet_width", _number(float)),
+        "carrier": ("packet_carrier", _number(int)),
+        "tilt": ("tilt", _number(float, 3)),
+    },
 }
 
 
-def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
-    parts = text.replace(",", " ").split()
-    if len(parts) != n:
-        raise ConfigError("%s needs %d numbers, got %r" % (what, n, text))
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError("%s: %s" % (what, exc)) from exc
-
-
-def _ints(text: str, n: int, what: str) -> tuple[int, ...]:
-    parts = text.replace(",", " ").split()
-    if len(parts) != n:
-        raise ConfigError("%s needs %d integers, got %r" % (what, n, text))
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError("%s: %s" % (what, exc)) from exc
-
-
-def _scalar(section, key: str, cast, default, what: str):
-    if key not in section:
-        return default
-    try:
-        return cast(section[key])
-    except ValueError as exc:
-        raise ConfigError("%s: %s" % (what, exc)) from exc
-
-
 def parse_config(text: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    # default_section="" matches no header, so [DEFAULT] is an unknown section
+    # instead of a source of keys for every other section.
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=("#", ";"), default_section=""
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError("parse failure: %s" % exc) from exc
 
+    fields = {}
     for section in parser.sections():
+        entries = parser[section]
         if section == "modes":
-            continue
-        if section not in _KNOWN_KEYS:
+            nums = {key: _number(int, 5)(raw, "mode %s" % key) for key, raw in entries.items()}
+            fields["modes"] = tuple(
+                Mode(k_index=nums[key][:3], spin=nums[key][3], branch=nums[key][4])
+                for key in sorted(nums, key=_mode_key_order)
+            )
+        elif section == "tolerances":
+            tols = dict(DEFAULT_TOLERANCES)
+            for key, raw in entries.items():
+                if key not in tols:
+                    raise ConfigError("unknown key %r in [%s]" % (key, section))
+                tols[key] = _number(float)(raw, "tolerance %s" % key)
+            fields["tolerances"] = tols
+        elif section in _GRAMMAR:
+            for key, raw in entries.items():
+                if key not in _GRAMMAR[section]:
+                    raise ConfigError("unknown key %r in [%s]" % (key, section))
+                name, parse = _GRAMMAR[section][key]
+                fields[name] = parse(raw, key)
+        else:
             raise ConfigError("unknown section [%s]" % section)
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError("unknown key %r in [%s]" % (key, section))
-
-    cfg = ScenarioConfig()
-    if parser.has_section("scenario"):
-        s = parser["scenario"]
-        suites = cfg.suites
-        if "suites" in s:
-            suites = tuple(s["suites"].replace(",", " ").split())
-        cfg = replace(
-            cfg,
-            name=s.get("name", cfg.name),
-            units=s.get("units", cfg.units),
-            mass=_scalar(s, "mass", float, cfg.mass, "mass"),
-            seed=_scalar(s, "seed", int, cfg.seed, "seed"),
-            samples=_scalar(s, "samples", int, cfg.samples, "samples"),
-            fock_modes=_scalar(s, "fock_modes", int, cfg.fock_modes, "fock_modes"),
-            growth_abort=_scalar(s, "growth_abort", float, cfg.growth_abort, "growth_abort"),
-            suites=suites,
-            out_dir=s.get("out", cfg.out_dir),
-        )
-
-    if parser.has_section("chart"):
-        c = parser["chart"]
-        cfg = replace(
-            cfg,
-            family=c.get("family", cfg.family),
-            t_start=_scalar(c, "t_start", float, cfg.t_start, "t_start"),
-            t_span=_scalar(c, "t_span", float, cfg.t_span, "t_span"),
-            steps=_scalar(c, "steps", int, cfg.steps, "steps"),
-            lengths=_floats(c["lengths"], 3, "lengths") if "lengths" in c else cfg.lengths,
-            shape=_ints(c["shape"], 3, "shape") if "shape" in c else cfg.shape,
-            origin=_floats(c["origin"], 3, "origin") if "origin" in c else cfg.origin,
-            epsilon=_scalar(c, "epsilon", float, cfg.epsilon, "epsilon"),
-            profile=c.get("profile", cfg.profile),
-        )
-
-    if parser.has_section("modes"):
-        modes = []
-        for key in sorted(parser["modes"], key=_mode_key_order):
-            nums = _ints(parser["modes"][key], 5, "mode %s" % key)
-            modes.append(Mode(k_index=nums[:3], spin=nums[3], branch=nums[4]))
-        cfg = replace(cfg, modes=tuple(modes))
-
-    if parser.has_section("pairing"):
-        p = parser["pairing"]
-        cfg = replace(
-            cfg,
-            packet_center=_scalar(p, "center", float, cfg.packet_center, "center"),
-            packet_width=_scalar(p, "width", float, cfg.packet_width, "width"),
-            packet_carrier=_scalar(p, "carrier", int, cfg.packet_carrier, "carrier"),
-            tilt=_floats(p["tilt"], 3, "tilt") if "tilt" in p else cfg.tilt,
-        )
-
-    if parser.has_section("tolerances"):
-        tols = dict(DEFAULT_TOLERANCES)
-        for key in parser["tolerances"]:
-            try:
-                tols[key] = float(parser["tolerances"][key])
-            except ValueError as exc:
-                raise ConfigError("tolerance %s: %s" % (key, exc)) from exc
-        cfg = replace(cfg, tolerances=tols)
-
-    return validate(cfg)
+    return validate(ScenarioConfig(**fields))
 
 
 def _mode_key_order(key: str):
@@ -244,20 +221,6 @@ def _mode_key_order(key: str):
 
 
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    numbers = {
-        "mass": (cfg.mass,),
-        "t_start": (cfg.t_start,),
-        "t_span": (cfg.t_span,),
-        "lengths": cfg.lengths,
-        "origin": cfg.origin,
-        "epsilon": (cfg.epsilon,),
-        "center": (cfg.packet_center,),
-        "width": (cfg.packet_width,),
-        "tilt": cfg.tilt,
-    }
-    for key, vals in numbers.items():
-        if any(x is not None and not math.isfinite(x) for x in vals):
-            raise ConfigError("%s must be finite" % key)
     if cfg.units not in ("natural", "cgs"):
         raise ConfigError("units must be natural or cgs, got %r" % cfg.units)
     if not (cfg.mass > 0):
@@ -307,6 +270,18 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("tilt speed must be subluminal, got |v| = %.3f" % v)
     if cfg.packet_width is not None and not (cfg.packet_width > 0):
         raise ConfigError("packet width must be positive")
+    if "pairing" in cfg.suites:
+        # The slice is sampled column by column along x1, and its times must
+        # stay on the time axis: the pivot is the box centre, so the slice
+        # spans |tilt1| * length1 / 2 either side of the middle time.
+        for ax in (1, 2):
+            if cfg.shape[ax] > 1 and cfg.tilt[ax] != 0.0:
+                raise ConfigError("pairing tilt along active axis %d is not supported" % (ax + 1))
+        if cfg.shape[0] > 1 and abs(cfg.tilt[0]) * cfg.lengths[0] > cfg.t_span:
+            raise ConfigError(
+                "pairing tilt: |tilt1| * length1 = %.6g exceeds t_span = %.6g"
+                % (abs(cfg.tilt[0]) * cfg.lengths[0], cfg.t_span)
+            )
 
     for key, val in cfg.tolerances.items():
         if not (val > 0):

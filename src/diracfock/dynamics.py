@@ -128,7 +128,7 @@ def evolve(
             ratio = nrm / norm0 if np.isfinite(nrm) else float("inf")
             raise EvolutionUnstableError(step=n + 1, time=float(taxis[n + 1]), ratio=ratio)
 
-    return SpinorField(chart=chart, taxis=taxis, values=snapshots)
+    return SpinorField(chart=chart, values=snapshots)
 
 
 def _raw_pair_current(phi_values: np.ndarray, psi_values: np.ndarray, k: PhysicalConstants) -> np.ndarray:
@@ -143,13 +143,13 @@ def current(psi: SpinorField, k: PhysicalConstants) -> CurrentField:
     imag = float(np.max(np.abs(j.imag))) if j.size else 0.0
     if imag > 1e-13 * scale:
         raise ValueError(f"current reality violated: max imaginary part {imag:.3e}")
-    return CurrentField(chart=psi.chart, taxis=psi.taxis, values=j.real)
+    return CurrentField(chart=psi.chart, values=j.real)
 
 
 def pair_current(phi: SpinorField, psi: SpinorField, k: PhysicalConstants) -> CurrentField:
     """Sesquilinear current of two fields; complex in general."""
     j = _raw_pair_current(phi.values, psi.values, k)
-    return CurrentField(chart=psi.chart, taxis=psi.taxis, values=j)
+    return CurrentField(chart=psi.chart, values=j)
 
 
 def current_norm(values: np.ndarray) -> np.ndarray:
@@ -211,7 +211,8 @@ def divergence(j: CurrentField, bg: Background) -> np.ndarray:
     v = j.values
     eta = np.real(FRAME.metric)
 
-    out = bg.tetrad[None, ..., 0, 0] * differentiate(v[..., 0], axis=0, spacing=j.dt, periodic=False)
+    dv0 = differentiate(v[..., 0], axis=0, spacing=j.chart.dt, periodic=False)
+    out = bg.tetrad[None, ..., 0, 0] * dv0
     for ax in (1, 2, 3):
         dv = differentiate(v[..., ax], axis=ax, spacing=chart.spacing[ax], periodic=chart.periodic[ax])
         out = out + bg.tetrad[None, ..., ax, ax] * dv
@@ -251,7 +252,7 @@ def action_value(
         weights[0] *= 0.5
         weights[-1] *= 0.5
     vol = bg.sqrt_neg_det[None, ...]
-    cell = (psi.dt if len(psi.taxis) > 1 else 1.0) * chart.cell_volume
+    cell = chart.dt * chart.cell_volume
 
     integrand = dens * weights * vol
     if region is not None:
@@ -323,7 +324,7 @@ def plane_wave(
         phase = phase + kk[ax] * chart.axes[ax + 1].reshape(shape)
     amp = 1.0 / np.sqrt(chart.spatial_volume)
     values = amp * np.exp(1j * phase)[..., None] * u
-    return SpinorField(chart=chart, taxis=t, values=values)
+    return SpinorField(chart=chart, values=values)
 
 
 def gaussian_packet(

@@ -15,10 +15,9 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class _GridField:
-    """Values of shape (nt, n1, n2, n3, 4) over taxis and a chart's spatial grid."""
+    """Values of shape (nt, n1, n2, n3, 4) over a chart's time and spatial grid."""
 
     chart: "object"
-    taxis: np.ndarray
     values: np.ndarray
 
     _kind = "field"
@@ -27,24 +26,20 @@ class _GridField:
         v = self.values
         if v.ndim != 5 or v.shape[-1] != 4:
             raise ValueError(f"{self._kind} values must have shape (nt, n1, n2, n3, 4)")
-        if v.shape[0] != len(self.taxis):
-            raise ValueError("time axis length does not match values")
-        if v.shape[1:4] != self.chart.spatial_shape:
-            raise GridMismatchError("spatial grid does not match the chart")
+        if v.shape[:4] != self.chart.shape:
+            raise GridMismatchError("values do not match the chart's grid")
 
     @property
-    def dt(self) -> float:
-        if len(self.taxis) < 2:
-            return 0.0
-        return float(self.taxis[1] - self.taxis[0])
+    def taxis(self) -> np.ndarray:
+        return self.chart.axes[0]
 
 
 @dataclass(frozen=True)
 class SpinorField(_GridField):
     """Complex 4-component field on a spacetime grid.
 
-    values has shape (nt, n1, n2, n3, 4); taxis holds the nt time nodes.
-    The spatial axes must match the chart the field was built on.
+    values has shape (nt, n1, n2, n3, 4) and must match the chart's grid;
+    taxis is the chart's time axis.
     """
 
     _kind = "spinor"
@@ -69,7 +64,7 @@ class SpinorField(_GridField):
     __rmul__ = __mul__
 
     def _check_same_grid(self, other: "SpinorField") -> None:
-        if self.values.shape != other.values.shape or len(self.taxis) != len(other.taxis):
+        if self.values.shape != other.values.shape:
             raise GridMismatchError("fields live on different grids")
         if not np.allclose(self.taxis, other.taxis, rtol=0.0, atol=1e-12):
             raise GridMismatchError("fields live on different time axes")

@@ -16,7 +16,7 @@ Index conventions for cached arrays (leading axes are the spatial grid):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -287,13 +287,7 @@ class ConcordanceReport:
     nabla_gamma: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "nabla_metric": self.nabla_metric,
-            "nabla_skew_metric": self.nabla_skew_metric,
-            "nabla_chirality": self.nabla_chirality,
-            "nabla_dirac_form": self.nabla_dirac_form,
-            "nabla_gamma": self.nabla_gamma,
-        }
+        return asdict(self)
 
     def max(self) -> float:
         return max(self.as_dict().values())
@@ -365,7 +359,7 @@ def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorFiel
 
     # Diagonal tetrad: direction q only involves coordinate mu = q.
     if q == 0:
-        dv = differentiate(v, axis=0, spacing=psi.dt, periodic=False)
+        dv = differentiate(v, axis=0, spacing=psi.chart.dt, periodic=False)
     else:
         dv = differentiate(v, axis=q, spacing=chart.spacing[q], periodic=chart.periodic[q])
 

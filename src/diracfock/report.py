@@ -29,36 +29,21 @@ class CheckResult:
     passed: bool
 
 
-def bound_at_most(tol: float) -> str:
-    return "<= " + format_value(tol)
-
-
-def bound_at_least(tol: float) -> str:
-    return ">= " + format_value(tol)
-
-
-def bound_exact_zero() -> str:
-    return "== 0"
-
-
-def bound_in(lo: float, hi: float) -> str:
-    return "in [%s, %s]" % (format_value(lo), format_value(hi))
-
-
 def check_at_most(suite: str, name: str, value: float, tol: float) -> CheckResult:
-    return CheckResult(suite, name, float(value), bound_at_most(tol), float(value) <= tol)
+    return CheckResult(suite, name, float(value), "<= " + format_value(tol), float(value) <= tol)
 
 
 def check_at_least(suite: str, name: str, value: float, tol: float) -> CheckResult:
-    return CheckResult(suite, name, float(value), bound_at_least(tol), float(value) >= tol)
+    return CheckResult(suite, name, float(value), ">= " + format_value(tol), float(value) >= tol)
 
 
 def check_exact_zero(suite: str, name: str, value: float) -> CheckResult:
-    return CheckResult(suite, name, float(value), bound_exact_zero(), float(value) == 0.0)
+    return CheckResult(suite, name, float(value), "== 0", float(value) == 0.0)
 
 
 def check_in(suite: str, name: str, value: float, lo: float, hi: float) -> CheckResult:
-    return CheckResult(suite, name, float(value), bound_in(lo, hi), lo <= float(value) <= hi)
+    bound = "in [%s, %s]" % (format_value(lo), format_value(hi))
+    return CheckResult(suite, name, float(value), bound, lo <= float(value) <= hi)
 
 
 def render_text(header: Sequence[tuple[str, str]], results: Sequence[CheckResult]) -> str:

@@ -146,15 +146,6 @@ def suite_identities(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     return results, {}
 
 
-_CONCORDANCE_FIELDS = (
-    "nabla_metric",
-    "nabla_skew_metric",
-    "nabla_chirality",
-    "nabla_dirac_form",
-    "nabla_gamma",
-)
-
-
 def suite_connection(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results: list[CheckResult] = []
     s = "connection"
@@ -170,8 +161,8 @@ def suite_connection(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
 
     floor = cfg.tol("connection_floor")
     lo, hi = cfg.tol("ratio_low"), cfg.tol("ratio_high")
-    for name in _CONCORDANCE_FIELDS:
-        a, b = rc[name], rf[name]
+    for name, a in rc.items():
+        b = rf[name]
         if max(a, b) <= floor:
             # both resolutions already at the rounding floor: converged
             results.append(check_at_most(s, "floor_" + name, max(a, b), floor))
@@ -253,7 +244,7 @@ def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     worst_rel = 0.0
     for _ in range(50):
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        f = SpinorField(chart=base_chart, taxis=base_chart.axes[0], values=v)
+        f = SpinorField(chart=base_chart, values=v)
         val = action_value(f, base_bg, k)
         worst_rel = max(worst_rel, abs(val.imag) / abs(val.real))
     results.append(check_at_most(s, "action_reality", worst_rel, cfg.tol("action_reality")))
@@ -268,7 +259,7 @@ def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
         # non-periodic time edges (one-sided stencil rows)
         v[:5] = 0.0
         v[-5:] = 0.0
-        pert = SpinorField(chart=base_chart, taxis=base_chart.axes[0], values=v)
+        pert = SpinorField(chart=base_chart, values=v)
         sp = action_value(oracle + eps * pert, base_bg, k)
         sm = action_value(oracle - eps * pert, base_bg, k)
         worst = max(worst, abs((sp - sm) / (2.0 * eps)))
@@ -366,9 +357,7 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results.append(check_at_least(s, "positivity", min(self_inners), 0.0))
 
     if len(modes) >= 2:
-        mixed = SpinorField(
-            chart=chart, taxis=chart.axes[0], values=0.6 * modes[0].values + 0.8 * modes[1].values
-        )
+        mixed = SpinorField(chart=chart, values=0.6 * modes[0].values + 0.8 * modes[1].values)
         family = [modes[0], mixed] + modes[2:]
         ortho = orthonormalize(family, s0, k)
         g_on = gram(ortho, s0, k)
@@ -380,9 +369,7 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
                 cfg.tol("orthonormality"),
             )
         )
-        dependent = SpinorField(
-            chart=chart, taxis=chart.axes[0], values=modes[0].values - 2.0 * modes[1].values
-        )
+        dependent = SpinorField(chart=chart, values=modes[0].values - 2.0 * modes[1].values)
         flag = 1.0
         try:
             orthonormalize([modes[0], modes[1], dependent], s0, k)

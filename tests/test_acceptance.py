@@ -162,7 +162,7 @@ def test_acceptance_6_action_real_and_stationary():
     ok = True
     for _ in range(50):
         v = rng.standard_normal(chart.shape + (4,)) + 1j * rng.standard_normal(chart.shape + (4,))
-        s = action_value(SpinorField(chart, chart.axes[0], v), bg, nat)
+        s = action_value(SpinorField(chart, v), bg, nat)
         ok = ok and abs(s.imag) <= 1e-10 * abs(s.real)
 
     wave = plane_wave(chart, (0, 0, 0), nat)

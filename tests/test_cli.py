@@ -131,6 +131,13 @@ CLI_PROBES = {
     "evolve_steps_3": "[scenario]\nsuites = evolve\n[chart]\nsteps = 3\n[modes]\nm1 = 0 0 0 0 +1\n",
     "lengths_inf": "[scenario]\nsuites = evolve\n[chart]\nlengths = inf 6.28 6.28\n[modes]\nm1 = 0 0 0 0 +1\n",
     "epsilon_nan": "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nepsilon = nan\n",
+    "pairing_tilt_x2": (
+        "[scenario]\nsuites = pairing\n[chart]\nshape = 8 8 1\n[modes]\nm1 = 0 0 0 0 +1\n[pairing]\ntilt = 0 0.2 0\n"
+    ),
+    "pairing_slice_past_t_span": (
+        "[scenario]\nsuites = pairing\n[chart]\nshape = 16 1 1\nt_span = 0.5\nsteps = 10\n"
+        "[modes]\nm1 = 0 0 0 0 +1\n"
+    ),
     "out_is_a_file": None,
 }
 

@@ -46,7 +46,7 @@ m2 = 1 0 0 1 -1
 center = 7.0
 width = 1.5
 carrier = 3
-tilt = 0.2 0.0 0.0
+tilt = 0.1 0.0 0.0
 
 [tolerances]
 evolution_error = 1e-5
@@ -88,7 +88,7 @@ def test_full_document_parses_every_field():
     assert cfg.packet_center == 7.0
     assert cfg.packet_width == 1.5
     assert cfg.packet_carrier == 3
-    assert cfg.tilt == (0.2, 0.0, 0.0)
+    assert cfg.tilt == (0.1, 0.0, 0.0)
     assert cfg.tol("evolution_error") == 1e-5
     # untouched tolerances keep their defaults
     assert cfg.tol("gram_drift") == DEFAULT_TOLERANCES["gram_drift"]
@@ -172,6 +172,19 @@ BAD_DOCUMENTS = [
     "[pairing]\ntilt = nan 0 0\n",
     # the default carrier harmonic 2 on a collapsed x1
     "[scenario]\nsuites = pairing\n[chart]\nshape = 1 16 1\n[modes]\nm1 = 0 0 0 0 +1\n",
+    # every float is finite, including growth_abort and tolerances
+    "[scenario]\ngrowth_abort = inf\n",
+    "[tolerances]\nnorm_drift = inf\n",
+    # [DEFAULT] is an unknown section, not a source of keys for the others
+    "[DEFAULT]\nmass = abc\n",
+    "[DEFAULT]\nmass = 3\n[scenario]\n",
+    # pairing slices: no tilt along an active x2/x3, and the tilted slice
+    # must stay inside the time axis (|tilt1| * length1 <= t_span)
+    "[scenario]\nsuites = pairing\n[pairing]\ntilt = 0 0.2 0\n"
+    "[chart]\nshape = 8 8 1\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "[scenario]\nsuites = pairing\n[chart]\nt_span = 0.5\nsteps = 10\nshape = 16 1 1\n"
+    "[modes]\nm1 = 0 0 0 0 +1\n",
+    FULL.replace("tilt = 0.1 0.0 0.0", "tilt = 0.2 0.0 0.0"),  # 0.2 * 12 > t_span = 2
 ]
 
 
@@ -213,6 +226,11 @@ def test_bundled_scenarios_are_valid():
         assert cfg.name == name
         for suite in cfg.suites:
             assert suite in SUITE_NAMES
+
+
+def test_huge_integer_seed_is_accepted():
+    seed = 10**400
+    assert parse_config("[scenario]\nseed = %d\n" % seed).seed == seed
 
 
 def test_tilt_speed_just_below_light_is_accepted():

@@ -140,7 +140,7 @@ def tiny_field(u, nat):
     chart = minkowski_chart(0.0, 1.0, 1, (1.0, 1.0, 1.0), (1, 1, 1))
     values = np.zeros((2, 1, 1, 1, 4), dtype=complex)
     values[...] = np.asarray(u, dtype=complex)
-    return SpinorField(chart=chart, taxis=chart.axes[0], values=values)
+    return SpinorField(chart=chart, values=values)
 
 
 def test_current_frozen_examples(nat):
@@ -173,8 +173,8 @@ def test_pair_current_is_hermitian_in_its_arguments(nat):
     chart = flat_chart(shape=(8, 1, 1), steps=5)
     rng = np.random.default_rng(4)
     shape = chart.shape + (4,)
-    phi = SpinorField(chart, chart.axes[0], rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    psi = SpinorField(chart, chart.axes[0], rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    phi = SpinorField(chart, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    psi = SpinorField(chart, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     jab = pair_current(phi, psi, nat).values
     jba = pair_current(psi, phi, nat).values
     assert np.max(np.abs(jab - np.conj(jba))) <= 1e-13 * np.max(np.abs(jab))
@@ -205,7 +205,7 @@ def test_action_is_real_on_arbitrary_fields(nat):
     rng = np.random.default_rng(5)
     for _ in range(10):
         v = rng.standard_normal(chart.shape + (4,)) + 1j * rng.standard_normal(chart.shape + (4,))
-        s = action_value(SpinorField(chart, chart.axes[0], v), bg, nat)
+        s = action_value(SpinorField(chart, v), bg, nat)
         assert abs(s.imag) <= 1e-12 * max(1.0, abs(s.real))
 
 
@@ -246,7 +246,7 @@ def test_action_region_restriction(nat):
     bg = build_background(chart)
     rng = np.random.default_rng(8)
     v = rng.standard_normal(chart.shape + (4,)) + 1j * rng.standard_normal(chart.shape + (4,))
-    psi = SpinorField(chart, chart.axes[0], v)
+    psi = SpinorField(chart, v)
     everything = (slice(None), slice(None), slice(None), slice(None))
     assert action_value(psi, bg, nat, region=everything) == action_value(psi, bg, nat)
     inner = action_value(psi, bg, nat, region=(slice(5, 16), slice(None), slice(None), slice(None)))

@@ -7,6 +7,7 @@ import pytest
 
 from diracfock import (
     ChartError,
+    CurrentField,
     GridMismatchError,
     MetricChart,
     SpinorField,
@@ -107,7 +108,7 @@ def test_covariant_derivative_of_constant_field_is_connection_term():
     rng = np.random.default_rng(7)
     u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     values = np.broadcast_to(u, chart.shape + (4,)).copy()
-    psi = SpinorField(chart=chart, taxis=chart.axes[0], values=values)
+    psi = SpinorField(chart=chart, values=values)
     for q in range(4):
         out = covariant_derivative(psi, bg, q)
         expect = np.einsum("xyzab,b->xyza", bg.spinor_connection[..., q, :, :], u)
@@ -119,7 +120,7 @@ def test_covariant_derivative_conjugation_commutes():
     chart = bg.chart
     rng = np.random.default_rng(11)
     values = rng.standard_normal(chart.shape + (4,)) + 1j * rng.standard_normal(chart.shape + (4,))
-    psi = SpinorField(chart=chart, taxis=chart.axes[0], values=values)
+    psi = SpinorField(chart=chart, values=values)
     for q in range(4):
         lhs = covariant_derivative(psi, bg, q).conjugate().values
         # conjugated fields transport with the conjugated coefficients
@@ -131,9 +132,22 @@ def test_covariant_derivative_rejects_other_grids():
     bg = flat_background(shape=(16, 1, 1))
     other = minkowski_chart(0.0, 1.0, 8, (TWO_PI, TWO_PI, TWO_PI), (8, 1, 1))
     values = np.zeros(other.shape + (4,), dtype=complex)
-    psi = SpinorField(chart=other, taxis=other.axes[0], values=values)
+    psi = SpinorField(chart=other, values=values)
     with pytest.raises(GridMismatchError):
         covariant_derivative(psi, bg, 0)
+
+
+def test_fields_must_match_their_chart():
+    chart = minkowski_chart(0.0, 1.0, 8, (TWO_PI, TWO_PI, TWO_PI), (8, 1, 1))
+    for shape in ((8, 8, 1, 1, 4), (9, 4, 1, 1, 4)):  # wrong time, wrong space
+        values = np.zeros(shape, dtype=complex)
+        for kind in (SpinorField, CurrentField):
+            with pytest.raises(GridMismatchError):
+                kind(chart=chart, values=values)
+    later = minkowski_chart(0.5, 1.0, 8, (TWO_PI, TWO_PI, TWO_PI), (8, 1, 1))
+    a, b = (SpinorField(chart=c, values=np.zeros(c.shape + (4,), dtype=complex)) for c in (chart, later))
+    with pytest.raises(GridMismatchError):
+        a + b
 
 
 def test_chart_validation_errors():

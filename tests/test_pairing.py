@@ -148,7 +148,7 @@ def test_sample_on_slice_interpolates_in_time(nat):
     values = np.broadcast_to(
         (t**3 - t)[:, None, None, None, None] * u, chart.shape + (4,)
     ).astype(complex)
-    psi = SpinorField(chart=chart, taxis=t, values=values)
+    psi = SpinorField(chart=chart, values=values)
     ts = 1.3
     out = sample_on_slice(psi, coordinate_slice(bg, ts))
     assert np.max(np.abs(out - (ts**3 - ts) * u)) <= 1e-12
@@ -159,7 +159,7 @@ def test_slice_times_varying_off_axis_one_are_rejected(nat):
     bg = build_background(chart)
     s = tilted_slice(bg, 0.5, (0.0, 0.2, 0.0))
     values = np.zeros(chart.shape + (4,), dtype=complex)
-    psi = SpinorField(chart=chart, taxis=chart.axes[0], values=values)
+    psi = SpinorField(chart=chart, values=values)
     with pytest.raises(NotImplementedError):
         sample_on_slice(psi, s)
     with pytest.raises(NotImplementedError):
