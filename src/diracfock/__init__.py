@@ -90,4 +90,3 @@ from .config import (
 from .report import CheckResult, format_value, render_jsonl, render_series, render_text
 from .scenarios import BUNDLED, scenario_names
 from .suites import SUITES
-from .cli import main, resolve_config, run_scenario

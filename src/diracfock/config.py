@@ -100,6 +100,10 @@ class ScenarioConfig:
             origin=self.origin,
         )
 
+    def refined(self) -> "ScenarioConfig":
+        """The same scenario with twice the nodes on every active axis."""
+        return replace(self, shape=tuple(2 * n if n > 1 else 1 for n in self.shape))
+
     def with_overrides(
         self,
         suites: tuple[str, ...] | None = None,
@@ -253,6 +257,12 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("epsilon must be non-negative")
     if cfg.profile not in PROFILES:
         raise ConfigError("profile must be linear or sin")
+    if cfg.family == "static-diagonal":
+        # g00 = profile(x1) on the x1 nodes; the connection suite also builds the refined chart
+        profile, _ = PROFILES[cfg.profile]
+        for c in (cfg, cfg.refined()):
+            if profile(c.build_chart().axes[1], cfg.epsilon).min() <= 0.0:
+                raise ConfigError("g00 must stay positive on every x1 node of the chart and of its refinement")
 
     for i, mode in enumerate(cfg.modes):
         if mode.spin not in (0, 1):
@@ -262,8 +272,6 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         for ax in range(3):
             if cfg.shape[ax] == 1 and mode.k_index[ax] != 0:
                 raise ConfigError("mode %d: harmonic on collapsed axis %d" % (i + 1, ax + 1))
-    if "pairing" in cfg.suites and cfg.shape[0] == 1 and cfg.packet_carrier != 0:
-        raise ConfigError("pairing carrier: harmonic on collapsed axis 1")
 
     v = math.sqrt(sum(t * t for t in cfg.tilt))
     if v >= 1.0:
@@ -271,6 +279,11 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.packet_width is not None and not (cfg.packet_width > 0):
         raise ConfigError("packet width must be positive")
     if "pairing" in cfg.suites:
+        if cfg.shape[0] == 1 and cfg.packet_carrier != 0:
+            raise ConfigError("pairing carrier: harmonic on collapsed axis 1")
+        # the first four modes are orthonormalized, so they must differ
+        if len(set(cfg.modes[:4])) < len(cfg.modes[:4]):
+            raise ConfigError("pairing modes: the first four must be distinct")
         # The slice is sampled column by column along x1, and its times must
         # stay on the time axis: the pivot is the box centre, so the slice
         # spans |tilt1| * length1 / 2 either side of the middle time.

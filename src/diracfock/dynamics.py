@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .fields import CurrentField, SpinorField
-from .geometry import Background, MetricChart, covariant_derivative
+from .geometry import Background, MetricChart, _nabla, covariant_derivative
 from .spin_algebra import FRAME
 from .stencils import differentiate
 
@@ -61,7 +61,7 @@ def grid_norm(values: np.ndarray, chart: MetricChart) -> float:
 def dirac_residual(psi: SpinorField, bg: Background, k: PhysicalConstants) -> SpinorField:
     """i hbar sum_q gamma^q nabla_q psi - m c psi, returned as a field."""
     acc = np.zeros_like(psi.values)
-    for q in range(4):
+    for q in bg.frame_terms:
         nabla = covariant_derivative(psi, bg, q).values
         acc += np.einsum("ab,txyzb->txyza", FRAME.gamma[q], nabla)
     res = 1j * k.hbar * acc - (k.mass * k.c) * psi.values
@@ -91,22 +91,19 @@ def evolve(
     dt = chart.dt
     mu = k.compton_wavenumber
     gamma = FRAME.gamma
-    u0 = bg.tetrad[..., 0, 0]
-    a_frame = bg.spinor_connection
-    has_connection = bool(np.any(a_frame != 0.0))
-    active = [ax for ax in (1, 2, 3) if len(chart.axes[ax]) > 1]
+    u0, a0 = bg.frame_terms[0]
+    spatial = [q for q in bg.frame_terms if q > 0]
+    spacing = chart.spacing
 
+    # gamma^0 gamma^0 = 1 turns sum_q gamma^q nabla_q psi = -i mu psi into
+    # u_0 d_0 psi = gamma^0 (-i mu psi - sum_spatial gamma^q nabla_q psi) - A_0 psi.
     def rhs(v: np.ndarray) -> np.ndarray:
         acc = (-1j * mu) * v
-        for ax in active:
-            dv = differentiate(v, axis=ax - 1, spacing=chart.spacing[ax], periodic=chart.periodic[ax])
-            nabla = bg.tetrad[..., ax, ax, None] * dv
-            if has_connection:
-                nabla = nabla + np.einsum("xyzab,xyzb->xyza", a_frame[..., ax, :, :], v)
-            acc = acc - np.einsum("ab,xyzb->xyza", gamma[ax], nabla)
+        for q in spatial:
+            acc = acc - np.einsum("ab,xyzb->xyza", gamma[q], _nabla(v[None], bg, q, spacing[q])[0])
         out = np.einsum("ab,xyzb->xyza", gamma[0], acc)
-        if has_connection:
-            out = out - np.einsum("xyzab,xyzb->xyza", a_frame[..., 0, :, :], v)
+        if a0 is not None:
+            out = out - np.einsum("xyzab,xyzb->xyza", a0, v)
         return out / u0[..., None]
 
     snapshots = np.empty((steps + 1,) + initial.shape, dtype=np.complex128)
@@ -209,18 +206,16 @@ def divergence(j: CurrentField, bg: Background) -> np.ndarray:
     """sum_q nabla_q J^q over the grid, shape (nt, n1, n2, n3)."""
     chart = bg.chart
     v = j.values
-    eta = np.real(FRAME.metric)
 
-    dv0 = differentiate(v[..., 0], axis=0, spacing=j.chart.dt, periodic=False)
-    out = bg.tetrad[None, ..., 0, 0] * dv0
-    for ax in (1, 2, 3):
-        dv = differentiate(v[..., ax], axis=ax, spacing=chart.spacing[ax], periodic=chart.periodic[ax])
-        out = out + bg.tetrad[None, ..., ax, ax] * dv
+    out = bg.tetrad[None, ..., 0, 0] * differentiate(v[..., 0], axis=0, spacing=j.chart.dt, periodic=False)
+    for q, (u, _) in bg.frame_terms.items():
+        if q > 0 and u is not None:
+            out = out + u * differentiate(v[..., q], axis=q, spacing=chart.spacing[q], periodic=chart.periodic[q])
 
     if not bg.is_flat:
         # Connection trace sum_q omega_q^q_r J^r; omega is stored with both
         # frame indices lowered, so the raise is the diagonal eta factor.
-        trace = np.einsum("q,xyzqqr->xyzr", np.diag(eta), bg.omega)
+        trace = np.einsum("q,xyzqqr->xyzr", np.diagonal(np.real(FRAME.metric)), bg.omega)
         out = out + np.einsum("xyzr,txyzr->txyz", trace, v)
     return out
 
@@ -240,7 +235,7 @@ def action_value(
     chart = psi.chart
 
     dens = np.zeros(psi.values.shape[:-1], dtype=np.complex128)
-    for q in range(4):
+    for q in bg.frame_terms:
         nab = covariant_derivative(psi, bg, q).values
         zq = np.einsum("...A,Ab,...b->...", np.conj(psi.values), _PAIRING[q], nab)
         dens += 0.5j * k.hbar * (zq - np.conj(zq))

@@ -17,6 +17,7 @@ Index conventions for cached arrays (leading axes are the spatial grid):
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -114,18 +115,15 @@ class MetricChart:
 
     def metric_values(self) -> np.ndarray:
         """Coordinate metric sampled on the spatial grid, shape (n1,n2,n3,4,4)."""
-        n1, n2, n3 = self.spatial_shape
-        g = np.zeros((n1, n2, n3, 4, 4))
-        if self.family == "minkowski":
-            g[...] = np.diag([1.0, -1.0, -1.0, -1.0])
-            return g
-        profile, _ = PROFILES[self.profile]
-        g00 = profile(self.axes[1], self.epsilon)
-        if np.any(g00 <= 0.0):
-            raise ChartError("g00 must stay positive on the chart")
-        g[..., 0, 0] = g00[:, None, None]
-        for k in (1, 2, 3):
-            g[..., k, k] = -1.0
+        diag = np.empty(self.spatial_shape + (4,))
+        diag[...] = (1.0, -1.0, -1.0, -1.0)
+        if self.family == "static-diagonal":
+            profile, _ = PROFILES[self.profile]
+            diag[..., 0] = profile(self.axes[1], self.epsilon)[:, None, None]
+            if np.any(diag[..., 0] <= 0.0):
+                raise ChartError("g00 must stay positive on the chart")
+        g = np.zeros(self.spatial_shape + (4, 4))
+        g[..., np.arange(4), np.arange(4)] = diag
         return g
 
 
@@ -202,66 +200,67 @@ class Background:
     def is_flat(self) -> bool:
         return self.chart.family == "minkowski"
 
+    @cached_property
+    def frame_terms(self) -> dict[int, tuple[np.ndarray | None, np.ndarray | None]]:
+        """q -> (Y_q^q, A_q) for the frame directions that carry work.
 
-def _spatial_derivative(chart: MetricChart, values: np.ndarray, mu: int) -> np.ndarray:
-    """Coordinate derivative of a static grid array; mu = 0 gives zeros."""
-    if mu == 0:
-        return np.zeros_like(values)
-    return differentiate(values, axis=mu - 1, spacing=chart.spacing[mu], periodic=chart.periodic[mu])
+        Y_q^q is None on a suppressed spatial axis (time always differentiates,
+        on the field's own axis) and A_q is None where it vanishes identically.
+        """
+        terms = {}
+        for q in range(4):
+            u = self.tetrad[..., q, q] if q == 0 or len(self.chart.axes[q]) > 1 else None
+            a = self.spinor_connection[..., q, :, :]
+            a = a if np.any(a != 0.0) else None
+            if u is not None or a is not None:
+                terms[q] = (u, a)
+        return terms
+
+
+def _diagonal_gradient(chart: MetricChart, values: np.ndarray) -> np.ndarray:
+    """d_mu of static diagonal entries values[..., k], spread onto [..., mu, k, k]; d_0 is zero."""
+    k = np.arange(4)
+    out = np.zeros(values.shape[:-1] + (4, 4, 4))
+    for mu in (1, 2, 3):
+        out[..., mu, k, k] = differentiate(values, axis=mu - 1, spacing=chart.spacing[mu], periodic=chart.periodic[mu])
+    return out
 
 
 def build_background(chart: MetricChart) -> Background:
     """Levi-Civita data and the induced spinor connection for the chart.
 
-    Christoffel symbols come from 4th-order finite differences of the metric;
-    the frame connection one-form follows from the tetrad, and the spinor
-    coefficients are A_q = (1/4) omega_{q,pr} gamma^p gamma^r.  Failure modes:
-    non-Lorentzian signature and vanishing metric determinant raise ChartError.
+    Both families are diagonal, so everything comes from the entries g_kk and
+    their 4th-order differences; the spinor coefficients are
+    A_q = (1/4) omega_{q,pr} gamma^p gamma^r.  Failure modes: non-Lorentzian
+    signature and vanishing metric determinant raise ChartError.
     """
     g = chart.metric_values()
 
-    diag = np.stack([g[..., i, i] for i in range(4)], axis=-1)
+    diag = np.diagonal(g, axis1=-2, axis2=-1)  # g_kk
     if np.any(diag[..., 0] <= 0.0) or np.any(diag[..., 1:] >= 0.0):
         raise ChartError("metric must have signature (+,-,-,-) on the whole grid")
     det = np.prod(diag, axis=-1)
     if np.any(np.abs(det) < 1e-300):
         raise ChartError("metric sample is singular")
 
-    ginv = np.zeros_like(g)
-    for i in range(4):
-        ginv[..., i, i] = 1.0 / diag[..., i]
-
     # Diagonal tetrad: frame vector q points along coordinate q.
-    scale = np.sqrt(np.abs(diag))
+    e = np.sqrt(np.abs(diag))  # e^q_q
+    y = 1.0 / e                # Y_q^q
     tetrad = np.zeros_like(g)
-    cotetrad = np.zeros_like(g)
-    for q in range(4):
-        tetrad[..., q, q] = 1.0 / scale[..., q]
-        cotetrad[..., q, q] = scale[..., q]
+    tetrad[..., np.arange(4), np.arange(4)] = y
 
-    dg = np.stack([_spatial_derivative(chart, g, mu) for mu in range(4)], axis=-3)  # [..., mu, i, j]
-    # Explicit loop form; 4x4x4 per grid point is cheap and keeps the index
-    # bookkeeping obvious.  Symmetry in (i, j) is exact: the summands are the
-    # same floats in the same order under i <-> j.
-    christoffel = np.zeros(g.shape[:-2] + (4, 4, 4))
-    for k in range(4):
-        for i in range(4):
-            for j in range(4):
-                s = np.zeros(g.shape[:-2])
-                for l in range(4):
-                    s += ginv[..., k, l] * (dg[..., i, l, j] + dg[..., j, l, i] - dg[..., l, i, j])
-                christoffel[..., k, i, j] = 0.5 * s
+    # Gamma^k_ij = 1/2 g^kk (d_i g_kj + d_j g_ki - d_k g_ij), dg[..., mu, i, j] = d_mu g_ij.
+    # The two swapped terms are added in either order, so (i, j) symmetry is exact.
+    dg = _diagonal_gradient(chart, diag)
+    christoffel = 0.5 * ((1.0 / diag)[..., :, None, None] * ((np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)) - dg))
 
-    # Coordinate-direction connection one-form omega_mu^p_r = e^p_nu (d_mu Y_r^nu + Gamma^nu_{mu lam} Y_r^lam).
-    dtet = np.stack([_spatial_derivative(chart, tetrad, mu) for mu in range(4)], axis=-3)  # [..., mu, r, nu]
-    omega_coord = np.einsum("...pn,...mrn->...mpr", cotetrad, dtet) + np.einsum(
-        "...pn,...nml,...rl->...mpr", cotetrad, christoffel, tetrad
-    )
-    eta = np.real(FRAME.metric)
-    omega_coord = np.einsum("ps,...msr->...mpr", eta, omega_coord)  # lower p
+    # omega_m^p_r = eta_pp e^p_p (d_m Y_r^p + Gamma^p_mr Y_r^r) with p lowered, as [..., m, p, r];
+    # the frame-direction form is omega_q = Y_q^q omega_q.
+    ep = e[..., None, :, None]
+    transport = (ep * np.swapaxes(christoffel, -3, -2)) * y[..., None, None, :]
+    eta = np.diagonal(np.real(FRAME.metric))[:, None]
+    omega = y[..., :, None, None] * (eta * (ep * _diagonal_gradient(chart, y) + transport))
 
-    # Frame-direction form and spinor coefficients.
-    omega = np.einsum("...qm,...mpr->...qpr", tetrad, omega_coord)
     gamma_products = np.einsum("pab,rbc->prac", FRAME.gamma, FRAME.gamma)
     spinor_connection = 0.25 * np.einsum("...qpr,prab->...qab", omega, gamma_products)
 
@@ -354,18 +353,17 @@ def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorFiel
     """
     if psi.chart is not bg.chart and psi.chart.spatial_shape != bg.chart.spatial_shape:
         raise GridMismatchError("field and background live on different grids")
-    chart = bg.chart
-    v = psi.values
+    if q not in bg.frame_terms:
+        return psi.with_values(np.zeros_like(psi.values))
+    return psi.with_values(_nabla(psi.values, bg, q, psi.chart.dt if q == 0 else bg.chart.spacing[q]))
 
-    # Diagonal tetrad: direction q only involves coordinate mu = q.
-    if q == 0:
-        dv = differentiate(v, axis=0, spacing=psi.chart.dt, periodic=False)
-    else:
-        dv = differentiate(v, axis=q, spacing=chart.spacing[q], periodic=chart.periodic[q])
 
-    u = bg.tetrad[..., q, q]  # (n1,n2,n3)
-    out = u[None, ..., None] * dv
-    aq = bg.spinor_connection[..., q, :, :]
-    if np.any(aq != 0.0):
-        out = out + np.einsum("xyzab,txyzb->txyza", aq, v)
-    return psi.with_values(out)
+def _nabla(v: np.ndarray, bg: Background, q: int, h: float) -> np.ndarray:
+    """Y_q^q d_q v + A_q v on samples v[t, x1, x2, x3, a]; q in bg.frame_terms, h the spacing of axis q."""
+    u, a = bg.frame_terms[q]
+    out = 0.0
+    if u is not None:
+        out = u[..., None] * differentiate(v, axis=q, spacing=h, periodic=q > 0 and bg.chart.periodic[q])
+    if a is not None:
+        out = out + np.einsum("xyzab,txyzb->txyza", a, v)
+    return out

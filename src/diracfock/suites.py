@@ -9,8 +9,6 @@ so selecting a subset of suites never shifts another suite's stream.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .config import ScenarioConfig
@@ -150,12 +148,8 @@ def suite_connection(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results: list[CheckResult] = []
     s = "connection"
 
-    def build(shape):
-        return build_background(replace(cfg, shape=shape).build_chart())
-
-    fine_shape = tuple(2 * n if n > 1 else 1 for n in cfg.shape)
-    coarse = build(cfg.shape)
-    fine = build(fine_shape)
+    coarse = build_background(cfg.build_chart())
+    fine = build_background(cfg.refined().build_chart())
     rc = concordance_residuals(coarse).as_dict()
     rf = concordance_residuals(fine).as_dict()
 

@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diracfock
 from diracfock import scenario_names
 from diracfock.cli import main
 
@@ -138,6 +142,18 @@ CLI_PROBES = {
         "[scenario]\nsuites = pairing\n[chart]\nshape = 16 1 1\nt_span = 0.5\nsteps = 10\n"
         "[modes]\nm1 = 0 0 0 0 +1\n"
     ),
+    "linear_g00_negative": (
+        "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nprofile = linear\n"
+        "epsilon = 0.5\norigin = -10 0 0\nshape = 16 1 1\n"
+    ),
+    "sin_g00_negative": (
+        "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nprofile = sin\n"
+        "epsilon = 1.5\norigin = -10 0 0\nshape = 16 1 1\n"
+    ),
+    "pairing_duplicate_modes": (
+        "[scenario]\nsuites = pairing\n[chart]\nshape = 64 1 1\nlengths = 12 6.283185307179586 6.283185307179586\n"
+        "t_span = 2\nsteps = 20\n[modes]\nm1 = 1 0 0 0 +1\nm2 = 1 0 0 0 +1\n[pairing]\ntilt = 0.1 0 0\n"
+    ),
     "out_is_a_file": None,
 }
 
@@ -158,3 +174,16 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, probe):
     assert len(err.splitlines()) == 1
     assert err.startswith(("config error:", "output error:"))
     assert "Traceback" not in err
+
+
+def test_module_entry_point_prints_one_config_error_line(tmp_path):
+    # python -m diracfock.cli must not import the module twice (a runpy
+    # warning line on stderr) before reporting the config error.
+    env = dict(os.environ, PYTHONPATH=str(Path(diracfock.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracfock.cli", "run", str(tmp_path / "missing.ini")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("config error:")

@@ -185,6 +185,17 @@ BAD_DOCUMENTS = [
     "[scenario]\nsuites = pairing\n[chart]\nt_span = 0.5\nsteps = 10\nshape = 16 1 1\n"
     "[modes]\nm1 = 0 0 0 0 +1\n",
     FULL.replace("tilt = 0.1 0.0 0.0", "tilt = 0.2 0.0 0.0"),  # 0.2 * 12 > t_span = 2
+    # g00 = profile(x1) must stay positive on the chart and on the refined
+    # chart of the connection suite (the last one only fails there)
+    "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nprofile = linear\nepsilon = 0.5\n"
+    "origin = -10 0 0\nshape = 16 1 1\n",
+    "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nprofile = sin\nepsilon = 1.5\n"
+    "origin = -10 0 0\nshape = 16 1 1\n",
+    "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nprofile = sin\nepsilon = 1.05\n"
+    "origin = 0.39269908169872414 0 0\nshape = 8 1 1\n",
+    # the first four pairing modes are orthonormalized, so they must differ
+    "[scenario]\nsuites = pairing\n[modes]\nm1 = 1 0 0 0 +1\nm2 = 1 0 0 0 +1\n[chart]\nshape = 64 1 1\n"
+    "lengths = 12 6.283185307179586 6.283185307179586\nt_span = 2\nsteps = 20\n[pairing]\ntilt = 0.1 0 0\n",
 ]
 
 

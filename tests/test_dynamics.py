@@ -10,12 +10,14 @@ from diracfock import (
     action_value,
     build_background,
     closed_form_current_norm,
+    coordinate_slice,
     current,
     current_norm,
     dirac_residual,
     dispersion_mode,
     divergence,
     evolve,
+    flux,
     gaussian_packet,
     grid_norm,
     minkowski_chart,
@@ -197,6 +199,26 @@ def test_divergence_of_superposition_is_stencil_small(nat):
     psi = plane_wave(chart, (1, 0, 0), nat) + plane_wave(chart, (2, 0, 0), nat, spin=1, branch=-1)
     j = current(psi, nat)
     assert np.max(np.abs(divergence(j, bg))) <= 1e-6
+
+
+def test_curved_packet_conserves_charge_at_fourth_order(nat):
+    # evolve and divergence through the connection terms of a static
+    # sin-profile chart: halving both steps shrinks the charge drift and
+    # max |div J| by about 2^4.
+    drift, worst = [], []
+    for n, steps in ((64, 100), (128, 200)):
+        chart = static_diagonal_chart(
+            0.0, 1.0, steps, (TWO_PI, TWO_PI, TWO_PI), (n, 1, 1), epsilon=0.01, profile="sin"
+        )
+        bg = build_background(chart)
+        init = gaussian_packet(chart, nat, center=np.pi, width=TWO_PI / 16.0, carrier_index=2)
+        j = current(evolve(init, bg, nat), nat)
+        f0 = flux(j, coordinate_slice(bg, 0.0))
+        assert abs(f0 - 1.0) <= 1e-12
+        drift.append(abs(flux(j, coordinate_slice(bg, 1.0)) - f0))
+        worst.append(np.max(np.abs(divergence(j, bg))))
+    assert 12.0 <= drift[0] / drift[1] <= 20.0
+    assert 12.0 <= worst[0] / worst[1] <= 20.0
 
 
 def test_action_is_real_on_arbitrary_fields(nat):

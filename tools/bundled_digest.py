@@ -1,9 +1,17 @@
-"""Digest of every bundled scenario's outputs, for byte-identity gates.
+"""Digest of every bundled scenario's outputs and of the library's array paths,
+for byte-identity gates.
 
 Runs each bundled scenario through ``cli.main`` into a temporary directory
 and prints one ``scenario file sha256`` line per output file and for the
-captured stderr, then one ``scenario exit <code>`` line.  Diff the output of
-two checkouts to confirm that a refactor left every report unchanged:
+captured stderr, then one ``scenario exit <code>`` line.  After those it
+prints one ``probe name sha256`` line per array that the library computes on
+charts no bundled scenario reaches: the ``build_background`` arrays of sin
+and linear charts, and ``evolve``, ``current`` with ``divergence``,
+``action_value``, ``dirac_residual`` and ``covariant_derivative`` on curved
+and flat grids, 1D and 3D.  Array digests fold -0.0 into +0.0 first, so they
+compare values the way ``np.array_equal`` does.  The probes use public API
+only, so the script runs unchanged against older checkouts.  Diff the output
+of two checkouts to confirm that a refactor left every result unchanged:
 
     python3 tools/bundled_digest.py > digest.txt
 """
@@ -15,13 +23,24 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from diracfock import cli  # noqa: E402
+from diracfock import cli, dynamics, geometry  # noqa: E402
+from diracfock.constants import PhysicalConstants  # noqa: E402
 from diracfock.scenarios import scenario_names  # noqa: E402
 
+TWO_PI = 2.0 * np.pi
+BACKGROUND_ARRAYS = ("metric", "tetrad", "christoffel", "omega", "spinor_connection", "sqrt_neg_det")
 
-def main() -> None:
+
+def digest(values) -> str:
+    arr = np.ascontiguousarray(np.asarray(values) + 0.0)  # -0.0 + 0.0 == +0.0
+    return hashlib.sha256(str(arr.dtype).encode() + str(arr.shape).encode() + arr.tobytes()).hexdigest()
+
+
+def scenario_lines():
     with tempfile.TemporaryDirectory() as tmp:
         for name in scenario_names():
             out = Path(tmp, name)
@@ -31,9 +50,53 @@ def main() -> None:
             files = sorted(out.iterdir()) if out.is_dir() else []
             digests = [(f.name, hashlib.sha256(f.read_bytes())) for f in files]
             digests.append(("<stderr>", hashlib.sha256(err.getvalue().encode())))
-            for fname, digest in digests:
-                print(name, fname, digest.hexdigest())
+            for fname, h in digests:
+                print(name, fname, h.hexdigest())
             print(name, "exit", code)
+
+
+def background_lines():
+    for profile, eps in (("sin", 0.01), ("linear", 0.05)):
+        for shape in ((64, 1, 1), (8, 1, 1), (16, 16, 16)):
+            chart = geometry.static_diagonal_chart(0.0, 1.0, 2, (TWO_PI,) * 3, shape, epsilon=eps, profile=profile)
+            bg = geometry.build_background(chart)
+            label = "background-%s-%dx%dx%d" % ((profile,) + shape)
+            for name in BACKGROUND_ARRAYS:
+                print(label, name, digest(getattr(bg, name)))
+
+
+def field_lines(label, bg, initial, k):
+    out = dynamics.evolve(initial, bg, k)
+    j = dynamics.current(out, k)
+    print(label, "evolve", digest(out.values))
+    print(label, "current", digest(j.values))
+    print(label, "divergence", digest(dynamics.divergence(j, bg)))
+    print(label, "action_value", digest(dynamics.action_value(out, bg, k)))
+    print(label, "dirac_residual", digest(dynamics.dirac_residual(out, bg, k).values))
+    for q in range(4):
+        print(label, "covariant_derivative_%d" % q, digest(geometry.covariant_derivative(out, bg, q).values))
+
+
+def dynamics_lines():
+    k = PhysicalConstants.natural_units(mass=1.0)
+    chart = geometry.static_diagonal_chart(0.0, 1.0, 40, (TWO_PI,) * 3, (32, 1, 1), epsilon=0.01, profile="sin")
+    init = dynamics.gaussian_packet(chart, k, center=np.pi, width=TWO_PI / 16.0, carrier_index=2)
+    field_lines("curved-32x1x1", geometry.build_background(chart), init, k)
+
+    chart = geometry.static_diagonal_chart(0.0, 0.5, 8, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.01, profile="sin")
+    rng = np.random.default_rng(5)
+    init = rng.standard_normal((8, 8, 8, 4)) + 1j * rng.standard_normal((8, 8, 8, 4))
+    field_lines("curved-8x8x8", geometry.build_background(chart), init, k)
+
+    chart = geometry.minkowski_chart(0.0, 0.5, 8, (TWO_PI,) * 3, (8, 8, 8))
+    wave = dynamics.plane_wave(chart, (1, 1, 0), k)
+    field_lines("flat-8x8x8", geometry.build_background(chart), wave.values[0], k)
+
+
+def main() -> None:
+    scenario_lines()
+    background_lines()
+    dynamics_lines()
 
 
 if __name__ == "__main__":
