@@ -14,7 +14,7 @@ import numpy as np
 from .constants import PhysicalConstants
 from .fields import CurrentField, SpinorField
 from .geometry import Background, MetricChart, _nabla, covariant_derivative
-from .spin_algebra import FRAME
+from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, FRAME, _apply
 from .stencils import differentiate
 
 __all__ = [
@@ -48,8 +48,8 @@ class EvolutionUnstableError(RuntimeError):
         )
 
 
-# M^q with (M^q)_{abar b} = sum_a D_{a abar} gamma^{a q}_b; Hermitian.
-_PAIRING = np.einsum("aA,qab->qAb", FRAME.dirac_form, FRAME.gamma)
+# M^q = D^T gamma^q, (M^q)_{abar b} = sum_a D_{a abar} gamma^{a q}_b; Hermitian.
+_PAIRING = _apply(_DIRAC_FORM_ROWS.T, FRAME.gamma, axis=-2)
 
 
 def grid_norm(values: np.ndarray, chart: MetricChart) -> float:
@@ -63,7 +63,7 @@ def dirac_residual(psi: SpinorField, bg: Background, k: PhysicalConstants) -> Sp
     acc = np.zeros_like(psi.values)
     for q in bg.frame_terms:
         nabla = covariant_derivative(psi, bg, q).values
-        acc += np.einsum("ab,txyzb->txyza", FRAME.gamma[q], nabla)
+        acc += _apply(_GAMMA_ROWS[q], nabla)
     res = 1j * k.hbar * acc - (k.mass * k.c) * psi.values
     return psi.with_values(res)
 
@@ -90,7 +90,6 @@ def evolve(
     steps = len(taxis) - 1
     dt = chart.dt
     mu = k.compton_wavenumber
-    gamma = FRAME.gamma
     u0, a0 = bg.frame_terms[0]
     spatial = [q for q in bg.frame_terms if q > 0]
     spacing = chart.spacing
@@ -100,8 +99,8 @@ def evolve(
     def rhs(v: np.ndarray) -> np.ndarray:
         acc = (-1j * mu) * v
         for q in spatial:
-            acc = acc - np.einsum("ab,xyzb->xyza", gamma[q], _nabla(v[None], bg, q, spacing[q])[0])
-        out = np.einsum("ab,xyzb->xyza", gamma[0], acc)
+            acc = acc - _apply(_GAMMA_ROWS[q], _nabla(v[None], bg, q, spacing[q])[0])
+        out = _apply(_GAMMA_ROWS[0], acc)
         if a0 is not None:
             out = out - np.einsum("xyzab,xyzb->xyza", a0, v)
         return out / u0[..., None]

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import GridMismatchError, SpinorField
-from .spin_algebra import FRAME
+from .spin_algebra import _CHIRALITY_ROWS, _DIRAC_FORM_ROWS, _GAMMA_ROWS, _SKEW_METRIC_ROWS, FRAME, _apply
 from .stencils import differentiate
 
 __all__ = [
@@ -261,7 +261,7 @@ def build_background(chart: MetricChart) -> Background:
     eta = np.diagonal(np.real(FRAME.metric))[:, None]
     omega = y[..., :, None, None] * (eta * (ep * _diagonal_gradient(chart, y) + transport))
 
-    gamma_products = np.einsum("pab,rbc->prac", FRAME.gamma, FRAME.gamma)
+    gamma_products = np.stack([_apply(rows, FRAME.gamma, axis=-2) for rows in _GAMMA_ROWS])  # [p, r, a, c]
     spinor_connection = 0.25 * np.einsum("...qpr,prab->...qab", omega, gamma_products)
 
     return Background(
@@ -302,25 +302,23 @@ def concordance_residuals(bg: Background) -> ConcordanceReport:
     a = bg.spinor_connection             # [..., q, a, b]
     at = np.swapaxes(a, -1, -2)
     omega = bg.omega                     # [..., q, p, r] lowered
-    eta = np.real(FRAME.metric)
+    eta = np.diagonal(np.real(FRAME.metric))
 
     r_metric = float(np.max(np.abs(omega + np.swapaxes(omega, -1, -2))))
 
-    d = FRAME.skew_metric
-    r_skew = float(np.max(np.abs(np.einsum("...qab,bc->...qac", at, d) + np.einsum("ab,...qbc->...qac", d, a))))
+    # A M and M A for a frame matrix M act on the column and the row axis of A.
+    d, h, df = _SKEW_METRIC_ROWS, _CHIRALITY_ROWS, _DIRAC_FORM_ROWS
+    r_skew = float(np.max(np.abs(_apply(d.T, at) + _apply(d, a, axis=-2))))
+    r_chir = float(np.max(np.abs(_apply(h.T, a) - _apply(h, a, axis=-2))))
+    r_dirac = float(np.max(np.abs(_apply(df.T, at) + _apply(df, np.conj(a), axis=-2))))
 
-    h = FRAME.chirality
-    r_chir = float(np.max(np.abs(np.einsum("...qab,bc->...qac", a, h) - np.einsum("ab,...qbc->...qac", h, a))))
-
-    df = FRAME.dirac_form
-    r_dirac = float(
-        np.max(np.abs(np.einsum("...qab,bc->...qac", at, df) + np.einsum("ab,...qbc->...qac", df, np.conj(a))))
-    )
-
-    omega_up = np.einsum("ps,...qsr->...qpr", eta, omega)  # raise p back
-    rot = np.einsum("...qpr,rab->...qpab", omega_up, FRAME.gamma)
-    comm = np.einsum("...qab,pbc->...qpac", a, FRAME.gamma) - np.einsum("pab,...qbc->...qpac", FRAME.gamma, a)
-    r_gamma = float(np.max(np.abs(rot + comm)))
+    # nabla_q gamma^p = omega_q^p_r gamma^r + [A_q, gamma^p], one p at a time.
+    r_gamma = 0.0
+    for p, gp in enumerate(_GAMMA_ROWS):
+        rot = np.zeros(a.shape, dtype=np.complex128)
+        for r, gr in enumerate(_GAMMA_ROWS):
+            rot[..., np.arange(4), gr.perm] += (eta[p] * omega[..., p, r])[..., None] * gr.phase
+        r_gamma = max(r_gamma, float(np.max(np.abs(rot + (_apply(gp.T, a) - _apply(gp, a, axis=-2))))))
 
     return ConcordanceReport(
         nabla_metric=r_metric,

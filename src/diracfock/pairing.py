@@ -47,7 +47,6 @@ class Slice:
     coordinate cell volume.
     """
 
-    background: Background
     times: np.ndarray          # (n1, n2, n3)
     normal: np.ndarray         # (n1, n2, n3, 4)
     area_weights: np.ndarray   # (n1, n2, n3)
@@ -65,7 +64,7 @@ def coordinate_slice(bg: Background, t0: float) -> Slice:
     if np.any(g3det <= 0.0):
         raise NotSpacelikeError("induced metric is not negative definite")
     weights = np.sqrt(g3det) * bg.chart.cell_volume
-    return Slice(background=bg, times=times, normal=normal, area_weights=weights)
+    return Slice(times=times, normal=normal, area_weights=weights)
 
 
 def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float]) -> Slice:
@@ -102,7 +101,7 @@ def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float]) ->
     for ax in range(3):
         normal[..., ax + 1] = gamma * v[ax]
     weights = np.full(shape, np.sqrt(1.0 - v2) * bg.chart.cell_volume)
-    return Slice(background=bg, times=times, normal=normal, area_weights=weights)
+    return Slice(times=times, normal=normal, area_weights=weights)
 
 
 def _on_slice(values: np.ndarray, taxis: np.ndarray, s: Slice) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Constant spin-tensor fields of the canonical chiral frame and their identities.
 
-The five basic fields are kept as exact complex128 matrices: the metric g,
-the skew spinor metric d, the chirality operator H, the Dirac form D and the
-four gamma matrices.  Row index is the upper spinor index a, column index the
-lower spinor index b, all 0-based.
+Each basic field -- the metric g, the skew spinor metric d, the chirality H,
+the Dirac form D = gamma^0 and the four gammas -- is a signed permutation:
+row a holds phase[a], one of +-1 and +-i, in column perm[a] and zeros
+elsewhere.  The fields are stated once as such rows; ``FRAME`` holds the exact
+complex128 matrices built from them and ``_apply`` applies them by index.
+Row index is the upper spinor index a, column index the lower index b, 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,10 +96,46 @@ DIRAC_FORM_SIGNATURE = SpinTensorSignature(spinor_down=1, conj_down=1)
 GAMMA_SIGNATURE = SpinTensorSignature(spinor_up=1, spinor_down=1, tensor_up=1)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+class _Rows(NamedTuple):
+    """Signed permutation: row a holds phase[a] in column perm[a], zeros elsewhere."""
+
+    perm: np.ndarray
+    phase: np.ndarray
+
+    @property
+    def T(self) -> "_Rows":
+        inv = np.argsort(self.perm)
+        return _Rows(inv, self.phase[inv])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((4, 4), dtype=np.complex128)
+        out[np.arange(4), self.perm] = self.phase
+        out.setflags(write=False)
+        return out
+
+
+def _rows(perm: tuple[int, ...], phase: tuple[complex, ...]) -> _Rows:
+    return _Rows(np.array(perm), np.array(phase, dtype=np.complex128))
+
+
+_GAMMA_ROWS = (
+    _rows((2, 3, 0, 1), (1, 1, 1, 1)),
+    _rows((3, 2, 1, 0), (-1, -1, 1, 1)),
+    _rows((3, 2, 1, 0), (1j, -1j, -1j, 1j)),
+    _rows((2, 3, 0, 1), (-1, 1, 1, -1)),
+)
+_DIRAC_FORM_ROWS = _GAMMA_ROWS[0]
+_CHIRALITY_ROWS = _rows((0, 1, 2, 3), (1, 1, -1, -1))
+_METRIC_ROWS = _rows((0, 1, 2, 3), (1, -1, -1, -1))
+_SKEW_METRIC_ROWS = _rows((1, 0, 3, 2), (1, -1, -1, 1))
+
+
+def _apply(rows: _Rows, v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """M v along the spinor axis ``axis`` of v, counted from the end; v M is ``_apply(rows.T, v)``.
+
+    Exact: each output entry is one input entry times +-1 or +-i.
+    """
+    return np.take(v, rows.perm, axis=axis) * rows.phase.reshape((4,) + (1,) * (-1 - axis))
 
 
 @dataclass(frozen=True)
@@ -115,47 +154,15 @@ class GammaSet:
 
 
 def canonical_gamma_set() -> GammaSet:
-    """Exact matrices of the chiral frame."""
-    i = 1j
-    gamma0 = [
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-    ]
-    gamma1 = [
-        [0, 0, 0, -1],
-        [0, 0, -1, 0],
-        [0, 1, 0, 0],
-        [1, 0, 0, 0],
-    ]
-    gamma2 = [
-        [0, 0, 0, i],
-        [0, 0, -i, 0],
-        [0, -i, 0, 0],
-        [i, 0, 0, 0],
-    ]
-    gamma3 = [
-        [0, 0, -1, 0],
-        [0, 0, 0, 1],
-        [1, 0, 0, 0],
-        [0, -1, 0, 0],
-    ]
-    chirality = np.diag([1.0, 1.0, -1.0, -1.0])
-    dirac_form = np.array(gamma0, dtype=float)
-    metric = np.diag([1.0, -1.0, -1.0, -1.0])
-    skew = [
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-    ]
+    """Exact matrices of the chiral frame, built from its signed-permutation rows."""
+    gamma = np.stack([r.dense() for r in _GAMMA_ROWS])
+    gamma.setflags(write=False)
     return GammaSet(
-        gamma=_frozen(np.stack([np.array(m, dtype=complex) for m in (gamma0, gamma1, gamma2, gamma3)])),
-        chirality=_frozen(chirality),
-        dirac_form=_frozen(dirac_form),
-        metric=_frozen(metric),
-        skew_metric=_frozen(np.array(skew, dtype=complex)),
+        gamma=gamma,
+        chirality=_CHIRALITY_ROWS.dense(),
+        dirac_form=_DIRAC_FORM_ROWS.dense(),
+        metric=_METRIC_ROWS.dense(),
+        skew_metric=_SKEW_METRIC_ROWS.dense(),
     )
 
 

@@ -18,8 +18,9 @@ def differentiate(values: np.ndarray, axis: int, spacing: float, periodic: bool)
     """d/dx along one grid axis.
 
     Size-1 axes are treated as suppressed directions and return zeros.
-    Periodic axes use the central stencil with wraparound; otherwise the two
-    points nearest each end fall back to one-sided stencils of the same order.
+    Periodic axes use the central stencil on a 2-node wraparound halo;
+    otherwise the two points nearest each end fall back to one-sided stencils
+    of the same order.
     """
     n = values.shape[axis]
     if n == 1:
@@ -27,24 +28,22 @@ def differentiate(values: np.ndarray, axis: int, spacing: float, periodic: bool)
     if n < 5:
         raise ValueError(f"axis {axis} has {n} nodes, need at least 5 for the stencil")
 
-    if periodic:
-        out = np.zeros_like(values)
-        for shift, w in zip((2, 1, -1, -2), (_CENTRAL[0], _CENTRAL[1], _CENTRAL[3], _CENTRAL[4])):
-            out += w * np.roll(values, shift, axis=axis)
-        return out / (12.0 * spacing)
-
     moved = np.moveaxis(values, axis, 0)
     out = np.zeros_like(moved)
+    # Central rows: every node of a periodic axis, read through a 2-node
+    # wraparound halo, or nodes 2..n-3 of a bounded one.
+    src = np.concatenate((moved[n - 2 :], moved, moved[:2])) if periodic else moved
+    rows = out if periodic else out[2 : n - 2]
     for k, w in enumerate(_CENTRAL):
-        if w == 0:
-            continue
-        out[2 : n - 2] += w * moved[2 + (k - 2) : n - 2 + (k - 2)]
-    for k, w in enumerate(_EDGE0):
-        out[0] += w * moved[k]
-        out[n - 1] -= w * moved[n - 1 - k]
-    for k, w in enumerate(_EDGE1):
-        out[1] += w * moved[k]
-        out[n - 2] -= w * moved[n - 1 - k]
+        if w != 0:
+            rows += w * src[k : k + len(rows)]
+    if not periodic:
+        for k, w in enumerate(_EDGE0):
+            out[0] += w * moved[k]
+            out[n - 1] -= w * moved[n - 1 - k]
+        for k, w in enumerate(_EDGE1):
+            out[1] += w * moved[k]
+            out[n - 2] -= w * moved[n - 1 - k]
     return np.moveaxis(out, 0, axis) / (12.0 * spacing)
 
 

@@ -212,6 +212,20 @@ def test_differentiate_periodic_sin_converges():
     assert 12.0 <= errors[0] / errors[1] <= 20.0
 
 
+@pytest.mark.parametrize("n", [5, 6, 17])
+def test_periodic_differentiate_matches_roll_reference(n):
+    rng = np.random.default_rng(n)
+    for axis in range(4):
+        shape = [3, 4, 2, 3, 4]
+        shape[axis] = n
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = np.zeros_like(v)
+        for shift, w in ((2, 1), (1, -8), (-1, 8), (-2, -1)):
+            ref += w * np.roll(v, shift, axis=axis)
+        out = differentiate(v, axis=axis, spacing=0.25, periodic=True)
+        assert np.array_equal(out, ref / (12.0 * 0.25))
+
+
 def test_differentiate_degenerate_axes():
     values = np.arange(6.0).reshape(2, 1, 3)
     assert np.all(differentiate(values, axis=1, spacing=1.0, periodic=True) == 0.0)

@@ -10,11 +10,17 @@ from diracfock import (
     tau_conjugate,
 )
 from diracfock.spin_algebra import (
+    _CHIRALITY_ROWS,
+    _DIRAC_FORM_ROWS,
+    _GAMMA_ROWS,
+    _METRIC_ROWS,
+    _SKEW_METRIC_ROWS,
     CHIRALITY_SIGNATURE,
     DIRAC_FORM_SIGNATURE,
     GAMMA_SIGNATURE,
     METRIC_SIGNATURE,
     SKEW_METRIC_SIGNATURE,
+    _apply,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -129,3 +135,35 @@ def test_canonical_set_returns_equal_values():
     assert isinstance(a, GammaSet)
     assert np.array_equal(a.gamma, b.gamma)
     assert np.array_equal(a.skew_metric, b.skew_metric)
+
+
+def _row_tables(gs):
+    return [(_GAMMA_ROWS[q], gs.gamma[q]) for q in range(4)] + [
+        (_SKEW_METRIC_ROWS, gs.skew_metric),
+        (_CHIRALITY_ROWS, gs.chirality),
+        (_DIRAC_FORM_ROWS, gs.dirac_form),
+        (_METRIC_ROWS, gs.metric),
+    ]
+
+
+def test_rows_state_the_dense_matrices(gs):
+    for rows, m in _row_tables(gs):
+        assert np.array_equal(rows.dense(), m)
+        assert np.array_equal(rows.T.dense(), m.T)
+
+
+def test_row_application_equals_dense_einsum_exactly(gs):
+    # signed zeros in both parts and magnitudes up to ~1e300: the one non-zero
+    # term of each output entry must come through unrounded, with no inf or nan
+    rng = np.random.default_rng(23)
+    shape = (3, 5, 4, 4)
+    v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(-300, 301, shape)
+    v.real[rng.random(shape) < 0.2] = 0.0
+    v.real[rng.random(shape) < 0.2] = -0.0
+    v.imag[rng.random(shape) < 0.2] = 0.0
+    v.imag[rng.random(shape) < 0.2] = -0.0
+    for rows, m in _row_tables(gs):
+        assert np.array_equal(_apply(rows, v), np.einsum("ab,...b->...a", m, v))
+        assert np.array_equal(_apply(rows.T, v), np.einsum("...a,ab->...b", v, m))
+        assert np.array_equal(_apply(rows, v, axis=-2), np.einsum("ab,...bc->...ac", m, v))
+        assert np.array_equal(_apply(rows.T, v, axis=-2), np.einsum("ba,...bc->...ac", m, v))

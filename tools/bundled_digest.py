@@ -6,7 +6,8 @@ and prints one ``scenario file sha256`` line per output file and for the
 captured stderr, then one ``scenario exit <code>`` line.  After those it
 prints one ``probe name sha256`` line per array that the library computes on
 charts no bundled scenario reaches: the ``build_background`` arrays of sin
-and linear charts, and ``evolve``, ``current`` with ``divergence``,
+and linear charts with the values of their concordance, torsion and frame
+orthonormality residuals, and ``evolve``, ``current`` with ``divergence``,
 ``action_value``, ``dirac_residual`` and ``covariant_derivative`` on curved
 and flat grids, 1D and 3D.  Array digests fold -0.0 into +0.0 first, so they
 compare values the way ``np.array_equal`` does.  The probes use public API
@@ -63,6 +64,10 @@ def background_lines():
             label = "background-%s-%dx%dx%d" % ((profile,) + shape)
             for name in BACKGROUND_ARRAYS:
                 print(label, name, digest(getattr(bg, name)))
+            for name, value in geometry.concordance_residuals(bg).as_dict().items():
+                print(label, "concordance", name, repr(value))
+            print(label, "torsion_residual", repr(geometry.torsion_residual(bg)))
+            print(label, "frame_orthonormality_residual", repr(geometry.frame_orthonormality_residual(bg)))
 
 
 def field_lines(label, bg, initial, k):
