@@ -59,10 +59,8 @@ from .pairing import (
 from .fock import (
     CarReport,
     FockVector,
-    ProductWaveFunction,
     annihilate,
     antisymmetrize,
-    antisymmetrized_values,
     basis_state,
     car_report,
     create,

@@ -11,8 +11,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, ScenarioConfig, load_config, parse_config
-from .constants import PhysicalConstants
+from .config import ConfigError, ScenarioConfig, _constants, load_config, parse_config
 from .dynamics import EvolutionUnstableError
 from .report import CheckResult, render_jsonl, render_text
 from .scenarios import BUNDLED, scenario_names
@@ -30,11 +29,7 @@ def resolve_config(arg: str) -> ScenarioConfig:
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[list[CheckResult], dict[str, str]]:
-    if cfg.units == "natural":
-        constants = PhysicalConstants.natural_units(mass=cfg.mass)
-    else:
-        constants = PhysicalConstants.cgs(mass=cfg.mass)
-
+    constants = _constants(cfg)
     results: list[CheckResult] = []
     artifacts: dict[str, str] = {}
     for name in cfg.suites:

@@ -11,6 +11,8 @@ import configparser
 import math
 from dataclasses import dataclass, field, replace
 
+from .constants import PhysicalConstants
+from .dynamics import gaussian_packet
 from .geometry import FAMILIES, PROFILES, MetricChart, minkowski_chart, static_diagonal_chart
 
 SUITE_NAMES = ("identities", "connection", "evolve", "current", "pairing", "fock")
@@ -224,6 +226,23 @@ def _mode_key_order(key: str):
     return (int(digits) if digits else 0, key)
 
 
+def _constants(cfg: ScenarioConfig) -> PhysicalConstants:
+    if cfg.units == "natural":
+        return PhysicalConstants.natural_units(mass=cfg.mass)
+    return PhysicalConstants.cgs(mass=cfg.mass)
+
+
+def _packet_center_width(cfg: ScenarioConfig) -> tuple[float, float]:
+    """Centre and width of the pairing packet; by default the box centre and L1/16."""
+    center = cfg.packet_center
+    if center is None:
+        center = cfg.origin[0] + 0.5 * cfg.lengths[0]
+    width = cfg.packet_width
+    if width is None:
+        width = cfg.lengths[0] / 16.0
+    return center, width
+
+
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.units not in ("natural", "cgs"):
         raise ConfigError("units must be natural or cgs, got %r" % cfg.units)
@@ -295,6 +314,13 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
                 "pairing tilt: |tilt1| * length1 = %.6g exceeds t_span = %.6g"
                 % (abs(cfg.tilt[0]) * cfg.lengths[0], cfg.t_span)
             )
+        # the packet is built here once, so an envelope that underflows on
+        # every x1 node fails at parse time, not as an instability
+        center, width = _packet_center_width(cfg)
+        try:
+            gaussian_packet(cfg.build_chart(), _constants(cfg), center, width, cfg.packet_carrier)
+        except ValueError as exc:
+            raise ConfigError("pairing packet (center %.6g, width %.6g): %s" % (center, width, exc)) from exc
 
     for key, val in cfg.tolerances.items():
         if not (val > 0):

@@ -223,9 +223,8 @@ def action_value(
     psi: SpinorField,
     bg: Background,
     k: PhysicalConstants,
-    region: tuple[slice, slice, slice, slice] | None = None,
 ) -> complex:
-    """Discretized action of the field over a coordinate sub-box.
+    """Discretized action of the field over the chart.
 
     The derivative part is antisymmetrized between psi and its conjugate, so
     the integrand is real pointwise up to rounding; integration uses cell
@@ -247,11 +246,7 @@ def action_value(
         weights[-1] *= 0.5
     vol = bg.sqrt_neg_det[None, ...]
     cell = chart.dt * chart.cell_volume
-
-    integrand = dens * weights * vol
-    if region is not None:
-        integrand = integrand[region]
-    return complex(np.sum(integrand) * cell)
+    return complex(np.sum(dens * weights * vol) * cell)
 
 
 def dispersion_mode(
@@ -332,7 +327,8 @@ def gaussian_packet(
 
     The carrier spinor is the spin-0, positive-branch mode.  Not a solution;
     intended as initial data for ``evolve``.  The envelope must decay to
-    rounding at the periodic wrap for flux statements to hold.
+    rounding at the periodic wrap for flux statements to hold; an envelope
+    that underflows to zero on every x1 node raises ValueError.
     """
     kk = _wave_numbers(chart, (carrier_index, 0, 0))
     _, u = dispersion_mode(tuple(kk), k)
@@ -341,4 +337,6 @@ def gaussian_packet(
     values = env[:, None, None, None] * u
     values = np.broadcast_to(values, chart.spatial_shape + (4,)).copy()
     nrm = grid_norm(values, chart)
+    if nrm == 0.0:
+        raise ValueError("packet envelope is zero on every x1 node")
     return values / nrm

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -32,8 +31,6 @@ __all__ = [
     "operator_matrix",
     "CarReport",
     "car_report",
-    "ProductWaveFunction",
-    "antisymmetrized_values",
     "format_fock_vector",
     "parse_fock_vector",
 ]
@@ -71,10 +68,14 @@ def particle_number(state: int) -> int:
     return bin(state).count("1")
 
 
-def _sign_below(state: int, i: int) -> int:
-    """(-1) ** (number of occupied modes with index < i)."""
-    below = state & ((1 << i) - 1)
-    return -1 if particle_number(below) & 1 else 1
+def _flip(state: int, i: int, occupied: bool) -> tuple[int, int] | None:
+    """The ladder rule: flip bit i of a state in which it is set (occupied)
+    or clear (not occupied), with the sign (-1) ** (number of occupied modes
+    with index < i).  None when bit i is in the other position."""
+    bit = 1 << i
+    if bool(state & bit) != occupied:
+        return None
+    return state ^ bit, -1 if particle_number(state & (bit - 1)) & 1 else 1
 
 
 class FockVector(Mapping):
@@ -133,10 +134,6 @@ class FockVector(Mapping):
     def is_zero(self) -> bool:
         return not self._terms
 
-    def sectors(self) -> set[int]:
-        """Particle numbers present in the vector."""
-        return {particle_number(s) for s in self._terms}
-
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{list(indices_from_occupation(s))}: {c:.6g}" for s, c in sorted(self._terms.items())
@@ -176,37 +173,26 @@ def antisymmetrize(indices: Iterable[int]) -> FockVector:
     return FockVector({occupation_from_indices(sorted(idx)): float(sign)})
 
 
-def _check_mode(i: int, nmodes: int | None) -> None:
+def _ladder(i: int, v: FockVector, occupied: bool) -> FockVector:
     if i < 0:
         raise ValueError("mode indices must be non-negative")
-    if nmodes is not None and i >= nmodes:
-        raise ValueError(f"unknown mode index {i}; basis has {nmodes} modes")
+    out: dict[int, complex] = {}
+    for state, coeff in v.items():
+        flipped = _flip(state, i, occupied)
+        if flipped is not None:
+            new, sign = flipped
+            out[new] = out.get(new, 0.0) + coeff * sign
+    return FockVector(out)
 
 
-def create(i: int, v: FockVector, nmodes: int | None = None) -> FockVector:
+def create(i: int, v: FockVector) -> FockVector:
     """Creation operator on mode i, extended linearly."""
-    _check_mode(i, nmodes)
-    bit = 1 << i
-    out: dict[int, complex] = {}
-    for state, coeff in v.items():
-        if state & bit:
-            continue
-        new = state | bit
-        out[new] = out.get(new, 0.0) + coeff * _sign_below(state, i)
-    return FockVector(out)
+    return _ladder(i, v, occupied=False)
 
 
-def annihilate(i: int, v: FockVector, nmodes: int | None = None) -> FockVector:
+def annihilate(i: int, v: FockVector) -> FockVector:
     """Annihilation operator on mode i, extended linearly."""
-    _check_mode(i, nmodes)
-    bit = 1 << i
-    out: dict[int, complex] = {}
-    for state, coeff in v.items():
-        if not state & bit:
-            continue
-        new = state & ~bit
-        out[new] = out.get(new, 0.0) + coeff * _sign_below(state, i)
-    return FockVector(out)
+    return _ladder(i, v, occupied=True)
 
 
 def multiparticle_inner(u: FockVector, v: FockVector) -> complex:
@@ -228,15 +214,15 @@ def operator_matrix(kind: str, i: int, nmodes: int) -> np.ndarray:
     """
     if kind not in ("create", "annihilate"):
         raise ValueError("kind must be 'create' or 'annihilate'")
-    _check_mode(i, nmodes)
+    if not 0 <= i < nmodes:
+        raise ValueError(f"unknown mode index {i}; basis has {nmodes} modes")
     dim = 1 << nmodes
     m = np.zeros((dim, dim))
-    bit = 1 << i
     for state in range(dim):
-        if kind == "create" and not state & bit:
-            m[state | bit, state] = _sign_below(state, i)
-        elif kind == "annihilate" and state & bit:
-            m[state & ~bit, state] = _sign_below(state, i)
+        flipped = _flip(state, i, occupied=kind == "annihilate")
+        if flipped is not None:
+            new, sign = flipped
+            m[new, state] = sign
     return m
 
 
@@ -274,49 +260,6 @@ def car_report(nmodes: int) -> CarReport:
             r_ac = max(r_ac, float(np.max(np.abs(ac))))
     return CarReport(nmodes=nmodes, annihilate_pairs=r_aa, create_pairs=r_cc,
                      mixed_pairs=r_ac, adjointness=r_adj)
-
-
-@dataclass(frozen=True)
-class ProductWaveFunction:
-    """Ordered product of single-particle modes, evaluated slotwise.
-
-    ``values`` takes a table v[s, b] holding the component-b value of the
-    mode assigned to slot s at that slot's point, and returns the rank-n
-    component tensor of the plain (non-antisymmetrized) product.
-    """
-
-    indices: tuple[int, ...]
-
-    def values(self, slot_values: np.ndarray) -> np.ndarray:
-        v = np.asarray(slot_values)
-        n = len(self.indices)
-        if v.shape != (n, 4):
-            raise ValueError(f"expected slot table of shape ({n}, 4)")
-        out = np.ones((), dtype=np.complex128)
-        for s in range(n):
-            out = np.multiply.outer(out, v[s])
-        return out
-
-
-def antisymmetrized_values(mode_point_table: np.ndarray) -> np.ndarray:
-    """Component tensor of the antisymmetrized n-particle wave function.
-
-    ``mode_point_table[j, s, b]`` is component b of mode j evaluated at point
-    s.  Returns sum over permutations sigma of sign(sigma)/sqrt(n!) times the
-    product over slots s of table[sigma(s), s, :], an array of shape (4,)*n.
-    """
-    table = np.asarray(mode_point_table, dtype=np.complex128)
-    if table.ndim != 3 or table.shape[0] != table.shape[1] or table.shape[2] != 4:
-        raise ValueError("expected table of shape (n, n, 4)")
-    n = table.shape[0]
-    out = np.zeros((4,) * n, dtype=np.complex128)
-    for perm in permutations(range(n)):
-        sign = permutation_parity(perm)
-        term = np.ones((), dtype=np.complex128)
-        for s in range(n):
-            term = np.multiply.outer(term, table[perm[s], s])
-        out += sign * term
-    return out / math.sqrt(math.factorial(n))
 
 
 def format_fock_vector(v: FockVector) -> str:

@@ -42,13 +42,14 @@ class RankDeficientModeError(ValueError):
 class Slice:
     """Spacelike hypersurface with quadrature data on the spatial grid.
 
-    times holds x0 over the grid, normal the unit future normal in frame
-    components per node, area_weights the induced volume element times the
+    times holds x0 on each x1 column (the slice time is constant along x2
+    and x3), normal the unit future normal in frame components, constant
+    over the slice, area_weights the induced volume element times the
     coordinate cell volume.
     """
 
-    times: np.ndarray          # (n1, n2, n3)
-    normal: np.ndarray         # (n1, n2, n3, 4)
+    times: np.ndarray          # (n1,)
+    normal: np.ndarray         # (4,)
     area_weights: np.ndarray   # (n1, n2, n3)
 
 
@@ -56,22 +57,21 @@ def coordinate_slice(bg: Background, t0: float) -> Slice:
     """Constant-x0 slice.  Works on every supported chart: the unit future
     normal is the time frame vector and the induced metric is the spatial
     block, so the area element is sqrt(-det g3)."""
-    shape = bg.chart.spatial_shape
-    times = np.full(shape, float(t0))
-    normal = np.zeros(shape + (4,))
-    normal[..., 0] = 1.0
     g3det = -(bg.metric[..., 1, 1] * bg.metric[..., 2, 2] * bg.metric[..., 3, 3])
     if np.any(g3det <= 0.0):
         raise NotSpacelikeError("induced metric is not negative definite")
     weights = np.sqrt(g3det) * bg.chart.cell_volume
-    return Slice(times=times, normal=normal, area_weights=weights)
+    times = np.full(len(bg.chart.axes[1]), float(t0))
+    return Slice(times=times, normal=np.array([1.0, 0.0, 0.0, 0.0]), area_weights=weights)
 
 
 def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float]) -> Slice:
     """Plane x0 = t0 + v.(x - pivot) on the flat chart, |v| < 1.
 
     The pivot is the centre of the periodic box; a suppressed axis pivots at
-    its single node.
+    its single node, so a tilt along it leaves the slice times unchanged.
+    Slices are sampled column by column along x1, so a tilt along an active
+    x2 or x3 axis raises NotImplementedError.
 
     The unit future normal is (1, v)/sqrt(1 - |v|^2) and the induced area
     element sqrt(1 - |v|^2), so g(J, n) dS reduces to (J^0 - v.J) d3x.
@@ -83,24 +83,15 @@ def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float]) ->
     if v2 >= 1.0:
         raise NotSpacelikeError(f"tilt speed |v| = {np.sqrt(v2):.3f} is not subluminal")
     chart = bg.chart
-    shape = chart.spatial_shape
-    pivot = tuple(
-        float(chart.axes[ax + 1][0]) + 0.5 * len(chart.axes[ax + 1]) * chart.spacing[ax + 1]
-        if len(chart.axes[ax + 1]) > 1 else float(chart.axes[ax + 1][0])
-        for ax in range(3)
-    )
-    times = np.full(shape, float(t0))
-    for ax in range(3):
-        if v[ax] != 0.0:
-            sh = [1, 1, 1]
-            sh[ax] = shape[ax]
-            times = times + v[ax] * (chart.axes[ax + 1].reshape(sh) - pivot[ax])
+    if any(v[ax] != 0.0 and len(chart.axes[ax + 1]) > 1 for ax in (1, 2)):
+        raise NotImplementedError("slice times varying along x2/x3 are not supported")
+    x1 = chart.axes[1]
+    times = np.full(len(x1), float(t0))
+    if v[0] != 0.0 and len(x1) > 1:
+        times = times + v[0] * (x1 - (float(x1[0]) + 0.5 * len(x1) * chart.spacing[1]))
     gamma = 1.0 / np.sqrt(1.0 - v2)
-    normal = np.zeros(shape + (4,))
-    normal[..., 0] = gamma
-    for ax in range(3):
-        normal[..., ax + 1] = gamma * v[ax]
-    weights = np.full(shape, np.sqrt(1.0 - v2) * bg.chart.cell_volume)
+    normal = np.concatenate(([gamma], gamma * v))
+    weights = np.full(chart.spatial_shape, np.sqrt(1.0 - v2) * chart.cell_volume)
     return Slice(times=times, normal=normal, area_weights=weights)
 
 
@@ -108,19 +99,10 @@ def _on_slice(values: np.ndarray, taxis: np.ndarray, s: Slice) -> np.ndarray:
     """Grid samples (nt, n1, n2, n3, ...) on the slice, cubic in time between snapshots."""
     tvals = np.unique(np.round(s.times, 12))
     if len(tvals) == 1:
-        columns = [(slice(None), float(tvals[0]))]
-    else:
-        # Slice time varies along x1 only for the supported tilts; interpolate
-        # column by column over the leading spatial axis.
-        columns = []
-        for i in range(values.shape[1]):
-            t0 = float(s.times[i].flat[0])
-            if not np.allclose(s.times[i], t0, rtol=0.0, atol=1e-12):
-                raise NotImplementedError("slice times varying along x2/x3 are not supported")
-            columns.append((i, t0))
+        return cubic_time_interpolate(values, taxis, float(tvals[0]))
     out = np.empty(values.shape[1:], dtype=values.dtype)
-    for i, t in columns:
-        out[i] = cubic_time_interpolate(values[:, i], taxis, t)
+    for i, t in enumerate(s.times):
+        out[i] = cubic_time_interpolate(values[:, i], taxis, float(t))
     return out
 
 
@@ -132,10 +114,10 @@ def sample_on_slice(psi: SpinorField, s: Slice) -> np.ndarray:
 def _contract_with_normal(j_values: np.ndarray, s: Slice) -> np.ndarray:
     """g(J, n) pointwise in frame components (eta contraction)."""
     return (
-        j_values[..., 0] * s.normal[..., 0]
-        - j_values[..., 1] * s.normal[..., 1]
-        - j_values[..., 2] * s.normal[..., 2]
-        - j_values[..., 3] * s.normal[..., 3]
+        j_values[..., 0] * s.normal[0]
+        - j_values[..., 1] * s.normal[1]
+        - j_values[..., 2] * s.normal[2]
+        - j_values[..., 3] * s.normal[3]
     )
 
 

@@ -154,6 +154,10 @@ CLI_PROBES = {
         "[scenario]\nsuites = pairing\n[chart]\nshape = 64 1 1\nlengths = 12 6.283185307179586 6.283185307179586\n"
         "t_span = 2\nsteps = 20\n[modes]\nm1 = 1 0 0 0 +1\nm2 = 1 0 0 0 +1\n[pairing]\ntilt = 0.1 0 0\n"
     ),
+    "pairing_packet_underflow": (
+        "[scenario]\nsuites = pairing\n[chart]\nshape = 64 1 1\nlengths = 32 6.283185307179586 6.283185307179586\n"
+        "[modes]\nm1 = 0 0 0 0 +1\n[pairing]\nwidth = 0.001\ncenter = 16.25\ntilt = 0 0 0\n"
+    ),
     "out_is_a_file": None,
 }
 

@@ -196,6 +196,12 @@ BAD_DOCUMENTS = [
     # the first four pairing modes are orthonormalized, so they must differ
     "[scenario]\nsuites = pairing\n[modes]\nm1 = 1 0 0 0 +1\nm2 = 1 0 0 0 +1\n[chart]\nshape = 64 1 1\n"
     "lengths = 12 6.283185307179586 6.283185307179586\nt_span = 2\nsteps = 20\n[pairing]\ntilt = 0.1 0 0\n",
+    # a packet envelope that underflows on every x1 node has no norm; at
+    # width 0.0091585 the envelope peaks at 1.6e-162 on the nodes but its squares still underflow
+    "[pairing]\nwidth = 0.001\ncenter = 16.25\ntilt = 0 0 0\n[scenario]\nsuites = pairing\n[chart]\n"
+    "lengths = 32 6.283185307179586 6.283185307179586\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "[pairing]\nwidth = 0.0091585\ncenter = 16.25\ntilt = 0 0 0\n[scenario]\nsuites = pairing\n[chart]\n"
+    "lengths = 32 6.283185307179586 6.283185307179586\n[modes]\nm1 = 0 0 0 0 +1\n",
 ]
 
 

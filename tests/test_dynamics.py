@@ -263,18 +263,6 @@ def test_action_stationary_on_shell(nat):
     assert abs((sp - sm).real / (2.0 * eps)) > 1e-3
 
 
-def test_action_region_restriction(nat):
-    chart = flat_chart(shape=(16, 1, 1), t_span=1.0, steps=20)
-    bg = build_background(chart)
-    rng = np.random.default_rng(8)
-    v = rng.standard_normal(chart.shape + (4,)) + 1j * rng.standard_normal(chart.shape + (4,))
-    psi = SpinorField(chart, v)
-    everything = (slice(None), slice(None), slice(None), slice(None))
-    assert action_value(psi, bg, nat, region=everything) == action_value(psi, bg, nat)
-    inner = action_value(psi, bg, nat, region=(slice(5, 16), slice(None), slice(None), slice(None)))
-    assert inner != action_value(psi, bg, nat)
-
-
 def test_gaussian_packet_is_normalized_initial_data(nat):
     chart = minkowski_chart(0.0, 1.0, 10, (32.0, TWO_PI, TWO_PI), (256, 1, 1))
     packet = gaussian_packet(chart, nat, center=16.0, width=2.0, carrier_index=2)
@@ -282,3 +270,7 @@ def test_gaussian_packet_is_normalized_initial_data(nat):
     assert abs(grid_norm(packet, chart) - 1.0) <= 1e-12
     # envelope decays to rounding at the periodic wrap
     assert np.max(np.abs(packet[0])) <= 1e-12
+    # an envelope that underflows on every node has no norm to divide by
+    with pytest.raises(ValueError):
+        gaussian_packet(minkowski_chart(0.0, 1.0, 10, (32.0, TWO_PI, TWO_PI), (64, 1, 1)),
+                        nat, center=16.25, width=0.001)

@@ -1,7 +1,4 @@
-"""Occupation states, ladder operators, anticommutators, and wave functions."""
-
-import itertools
-import math
+"""Occupation states, ladder operators, anticommutators, and Slater vectors."""
 
 import numpy as np
 import pytest
@@ -10,10 +7,8 @@ from hypothesis import strategies as st
 
 from diracfock import (
     FockVector,
-    ProductWaveFunction,
     annihilate,
     antisymmetrize,
-    antisymmetrized_values,
     basis_state,
     car_report,
     create,
@@ -110,9 +105,22 @@ def test_operator_matrix_adjointness_and_validation():
     with pytest.raises(ValueError):
         operator_matrix("create", 5, 2)
     with pytest.raises(ValueError):
-        create(6, vacuum(), nmodes=6)
-    with pytest.raises(ValueError):
         annihilate(-1, vacuum())
+
+
+@pytest.mark.parametrize("nmodes", range(1, 6))
+def test_operator_matrix_columns_are_the_ladder(nmodes):
+    # the CAR rows check the dense matrices; each column must be the ladder
+    # operator that builds the Slater vectors, applied to that basis state
+    for kind, op in (("create", create), ("annihilate", annihilate)):
+        for i in range(nmodes):
+            m = operator_matrix(kind, i, nmodes)
+            for state in range(1 << nmodes):
+                image = op(i, FockVector({state: 1.0}))
+                column = np.zeros(1 << nmodes, dtype=complex)
+                for s, c in image.items():
+                    column[s] = c
+                assert np.array_equal(m[:, state], column)
 
 
 def test_multiparticle_inner_orthonormal_basis():
@@ -158,49 +166,9 @@ def test_slater_with_dependent_rows_vanishes():
     assert slater(dependent).norm() <= 1e-14
 
 
-def test_product_wave_function_is_plain_outer_product():
-    rng = np.random.default_rng(31)
-    table = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    pwf = ProductWaveFunction(indices=(4, 0, 2))
-    out = pwf.values(table)
-    assert out.shape == (4, 4, 4)
-    want = np.einsum("a,b,c->abc", table[0], table[1], table[2])
-    assert np.max(np.abs(out - want)) <= 1e-14
-    with pytest.raises(ValueError):
-        pwf.values(table[:2])
-
-
-def test_antisymmetrized_values_matches_permutation_sum():
-    rng = np.random.default_rng(32)
-    n = 3
-    table = rng.standard_normal((n, n, 4)) + 1j * rng.standard_normal((n, n, 4))
-    got = antisymmetrized_values(table)
-    want = np.zeros((4,) * n, dtype=np.complex128)
-    pwf = ProductWaveFunction(indices=tuple(range(n)))
-    for perm in itertools.permutations(range(n)):
-        slot_table = np.stack([table[perm[s], s] for s in range(n)])
-        want = want + permutation_parity(perm) * pwf.values(slot_table)
-    want /= math.sqrt(math.factorial(n))
-    assert np.max(np.abs(got - want)) <= 1e-14
-
-
-def test_antisymmetrized_values_is_antisymmetric_in_the_points():
-    rng = np.random.default_rng(33)
-    table = rng.standard_normal((2, 2, 4)) + 1j * rng.standard_normal((2, 2, 4))
-    out = antisymmetrized_values(table)
-    swapped = antisymmetrized_values(table[:, ::-1])
-    assert np.max(np.abs(swapped + np.swapaxes(out, 0, 1))) <= 1e-14
-    # identical mode rows collapse the state
-    same = np.stack([table[0], table[0]])
-    assert np.max(np.abs(antisymmetrized_values(same))) == 0.0
-    with pytest.raises(ValueError):
-        antisymmetrized_values(table[:, :, :3])
-
-
 def test_fock_vector_algebra_and_pruning():
     v = basis_state((0, 2)) + 2.0j * basis_state((1,))
     assert v.norm() == pytest.approx(np.sqrt(5.0))
-    assert v.sectors() == {1, 2}
     assert (v - v).is_zero()
     assert len(v - v) == 0
     w = v.conjugate()

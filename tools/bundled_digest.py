@@ -9,7 +9,10 @@ charts no bundled scenario reaches: the ``build_background`` arrays of sin
 and linear charts with the values of their concordance, torsion and frame
 orthonormality residuals, and ``evolve``, ``current`` with ``divergence``,
 ``action_value``, ``dirac_residual`` and ``covariant_derivative`` on curved
-and flat grids, 1D and 3D.  Array digests fold -0.0 into +0.0 first, so they
+and flat grids, 1D and 3D; ``sample_on_slice``, ``flux`` and ``gram`` on a
+flat (8, 8, 1) grid for an x1 tilt, a tilt along the suppressed x3 and an
+off-node coordinate slice; and the ``operator_matrix`` arrays with the
+``car_report`` residuals for 1 to 8 modes.  Array digests fold -0.0 into +0.0 first, so they
 compare values the way ``np.array_equal`` does.  The probes use public API
 only, so the script runs unchanged against older checkouts.  Diff the output
 of two checkouts to confirm that a refactor left every result unchanged:
@@ -28,8 +31,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from diracfock import cli, dynamics, geometry  # noqa: E402
+from diracfock import cli, dynamics, fock, geometry, pairing  # noqa: E402
 from diracfock.constants import PhysicalConstants  # noqa: E402
+from diracfock.fields import SpinorField  # noqa: E402
 from diracfock.scenarios import scenario_names  # noqa: E402
 
 TWO_PI = 2.0 * np.pi
@@ -98,10 +102,48 @@ def dynamics_lines():
     field_lines("flat-8x8x8", geometry.build_background(chart), wave.values[0], k)
 
 
+def slice_lines():
+    k = PhysicalConstants.natural_units(mass=1.0)
+    chart = geometry.minkowski_chart(0.0, 1.0, 10, (TWO_PI,) * 3, (8, 8, 1))
+    bg = geometry.build_background(chart)
+    rng = np.random.default_rng(7)
+    noise = SpinorField(chart, rng.standard_normal(chart.shape + (4,)) + 1j * rng.standard_normal(chart.shape + (4,)))
+    modes = [
+        dynamics.plane_wave(chart, (1, 0, 0), k),
+        dynamics.plane_wave(chart, (0, 1, 0), k, spin=1),
+        dynamics.plane_wave(chart, (1, 1, 0), k, branch=-1),
+        noise,
+    ]
+    slices = {
+        "tilt-x1": pairing.tilted_slice(bg, 0.5, (0.1, 0.0, 0.0)),
+        "tilt-x3-suppressed": pairing.tilted_slice(bg, 0.5, (0.0, 0.0, 0.2)),
+        "tilt-x1-x3": pairing.tilted_slice(bg, 0.5, (0.1, 0.0, 0.2)),
+        "coordinate-off-node": pairing.coordinate_slice(bg, 0.5 + 0.37 * chart.dt),
+    }
+    j = dynamics.current(noise, k)
+    for name, s in slices.items():
+        label = "slice-8x8x1-" + name
+        print(label, "sample_on_slice", digest(pairing.sample_on_slice(noise, s)))
+        print(label, "flux", repr(pairing.flux(j, s)))
+        print(label, "gram", digest(pairing.gram(modes, s, k)))
+
+
+def fock_lines():
+    for nmodes in range(1, 9):
+        for kind in ("create", "annihilate"):
+            for i in range(nmodes):
+                print("fock-%d" % nmodes, "operator_matrix", kind, i, digest(fock.operator_matrix(kind, i, nmodes)))
+        rep = fock.car_report(nmodes)
+        for name in ("annihilate_pairs", "create_pairs", "mixed_pairs", "adjointness"):
+            print("fock-%d" % nmodes, "car_report", name, repr(getattr(rep, name)))
+
+
 def main() -> None:
     scenario_lines()
     background_lines()
     dynamics_lines()
+    slice_lines()
+    fock_lines()
 
 
 if __name__ == "__main__":
