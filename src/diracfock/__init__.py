@@ -40,7 +40,6 @@ from .dynamics import (
     evolve,
     gaussian_packet,
     grid_norm,
-    pair_current,
     plane_wave,
     timelike_report,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from .constants import PhysicalConstants
 from .dynamics import gaussian_packet
-from .geometry import FAMILIES, PROFILES, MetricChart, minkowski_chart, static_diagonal_chart
+from .geometry import FAMILIES, PROFILES, ChartError, MetricChart, minkowski_chart, static_diagonal_chart
 
 SUITE_NAMES = ("identities", "connection", "evolve", "current", "pairing", "fock")
 
@@ -276,12 +276,22 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("epsilon must be non-negative")
     if cfg.profile not in PROFILES:
         raise ConfigError("profile must be linear or sin")
-    if cfg.family == "static-diagonal":
-        # g00 = profile(x1) on the x1 nodes; the connection suite also builds the refined chart
-        profile, _ = PROFILES[cfg.profile]
-        for c in (cfg, cfg.refined()):
-            if profile(c.build_chart().axes[1], cfg.epsilon).min() <= 0.0:
-                raise ConfigError("g00 must stay positive on every x1 node of the chart and of its refinement")
+    try:
+        if cfg.family == "static-diagonal":
+            # g00 = profile(x1) on the x1 nodes; the connection suite also builds the refined chart
+            profile, _ = PROFILES[cfg.profile]
+            for c in (cfg, cfg.refined()):
+                if profile(c.build_chart().axes[1], cfg.epsilon).min() <= 0.0:
+                    raise ConfigError("g00 must stay positive on every x1 node of the chart and of its refinement")
+        # Every chart a selected suite builds must build (the g00 rule built the
+        # connection suite's): far from 0, rounding can collapse an axis.
+        if "evolve" in cfg.suites or "pairing" in cfg.suites:
+            chart = cfg.build_chart()
+            if "evolve" in cfg.suites:
+                for mult in (2, 4):
+                    chart.with_time_axis(cfg.t_start, cfg.t_span, cfg.steps * mult)
+    except ChartError as exc:
+        raise ConfigError("chart: %s" % exc) from exc
 
     for i, mode in enumerate(cfg.modes):
         if mode.spin not in (0, 1):

@@ -23,7 +23,6 @@ __all__ = [
     "dirac_residual",
     "evolve",
     "current",
-    "pair_current",
     "current_norm",
     "closed_form_current_norm",
     "timelike_report",
@@ -140,12 +139,6 @@ def current(psi: SpinorField, k: PhysicalConstants) -> CurrentField:
     if imag > 1e-13 * scale:
         raise ValueError(f"current reality violated: max imaginary part {imag:.3e}")
     return CurrentField(chart=psi.chart, values=j.real)
-
-
-def pair_current(phi: SpinorField, psi: SpinorField, k: PhysicalConstants) -> CurrentField:
-    """Sesquilinear current of two fields; complex in general."""
-    j = _raw_pair_current(phi.values, psi.values, k)
-    return CurrentField(chart=psi.chart, values=j)
 
 
 def current_norm(values: np.ndarray) -> np.ndarray:

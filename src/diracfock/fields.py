@@ -75,8 +75,8 @@ class CurrentField(_GridField):
     """Vector field in frame components on the same grid layout as SpinorField.
 
     values has shape (nt, n1, n2, n3, 4), axis -1 being the frame index q.
-    Diagonal currents are real; pair currents of two different fields are
-    complex.
+    Currents are real; the sesquilinear pairing of two different fields is
+    taken on slice samples by pairing.inner, never stored as a field.
     """
 
     _kind = "current"

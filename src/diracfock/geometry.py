@@ -70,6 +70,8 @@ class MetricChart:
         for a in self.axes:
             if len(a) > 1:
                 steps = np.diff(a)
+                if not np.all(steps > 0.0):
+                    raise ChartError("axis nodes must increase (rounding collapsed an axis)")
                 if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-14):
                     raise ChartError("axes must be uniform")
         if self.family not in FAMILIES:

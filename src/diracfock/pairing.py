@@ -1,4 +1,7 @@
-"""Spacelike slices, current flux and the hypersurface pairing."""
+"""Spacelike slices, current flux and the hypersurface pairing.
+
+The pairing depends only on data on the slice: inner, gram and orthonormalize
+take the samples that sample_on_slice takes from a spinor history."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .dynamics import _raw_pair_current
-from .fields import CurrentField, SpinorField
+from .fields import CurrentField, GridMismatchError, SpinorField
 from .geometry import Background
 from .stencils import cubic_time_interpolate
 
@@ -130,52 +133,38 @@ def _slice_integral(j_values: np.ndarray, s: Slice):
     return np.sum(_contract_with_normal(j_values, s) * s.area_weights, axis=(1, 2)).sum()
 
 
-def flux(j: CurrentField, s: Slice) -> float | complex:
+def flux(j: CurrentField, s: Slice) -> float:
     """Integral of g(J, n) over the slice.
 
     The current is interpolated onto the slice in time; the quadrature is the
     periodic rectangle rule weighted by the induced area element.
     """
-    total = _slice_integral(_on_slice(j.values, j.taxis, s), s)
-    if np.iscomplexobj(total):
-        return complex(total)
-    return float(total)
+    return float(_slice_integral(_on_slice(j.values, j.taxis, s), s))
 
 
-def _pair_integral(pv: np.ndarray, qv: np.ndarray, s: Slice, k: PhysicalConstants) -> complex:
-    return complex(_slice_integral(_raw_pair_current(pv, qv, k), s))
+def inner(phi: np.ndarray, psi: np.ndarray, s: Slice, k: PhysicalConstants) -> complex:
+    """Hypersurface pairing <phi | psi> = integral of g(J(phi, psi), n) dS of two
+    solutions' slice samples, each of shape s.area_weights.shape + (4,)."""
+    shape = s.area_weights.shape + (4,)
+    if np.shape(phi) != shape or np.shape(psi) != shape:
+        raise GridMismatchError(f"slice samples must have shape {shape}, got {np.shape(phi)}, {np.shape(psi)}")
+    return complex(_slice_integral(_raw_pair_current(phi, psi, k), s))
 
 
-def inner(phi: SpinorField, psi: SpinorField, s: Slice, k: PhysicalConstants) -> complex:
-    """Hypersurface pairing <phi | psi> = integral of g(J(phi, psi), n) dS."""
-    return _pair_integral(sample_on_slice(phi, s), sample_on_slice(psi, s), s, k)
+def gram(samples: list[np.ndarray], s: Slice, k: PhysicalConstants) -> np.ndarray:
+    """Matrix of pairings inner(samples[a], samples[b], s, k)."""
+    return np.array([[inner(a, b, s, k) for b in samples] for a in samples], dtype=np.complex128)
 
 
-def gram(modes: list[SpinorField], s: Slice, k: PhysicalConstants) -> np.ndarray:
-    """Matrix of pairings inner(modes[a], modes[b], s, k).
-
-    Each mode is sampled on the slice once; the entries equal the pairwise
-    inner products bit for bit.
-    """
-    samples = [sample_on_slice(m, s) for m in modes]
-    n = len(samples)
-    g = np.empty((n, n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            g[a, b] = _pair_integral(samples[a], samples[b], s, k)
-    return g
-
-
-def orthonormalize(modes: list[SpinorField], s: Slice, k: PhysicalConstants) -> list[SpinorField]:
-    """Modified Gram-Schmidt under the hypersurface pairing.
+def orthonormalize(samples: list[np.ndarray], s: Slice, k: PhysicalConstants) -> list[np.ndarray]:
+    """Modified Gram-Schmidt under the hypersurface pairing, on slice samples.
 
     Subtracts projections sequentially and normalizes; raises
     RankDeficientModeError naming the first mode whose remainder norm falls
     below 1e-10 times its incoming norm.
     """
-    out: list[SpinorField] = []
-    for idx, mode in enumerate(modes):
-        work = mode
+    out: list[np.ndarray] = []
+    for idx, work in enumerate(samples):
         incoming = np.sqrt(abs(inner(work, work, s, k)))
         for prev in out:
             c = inner(prev, work, s, k)

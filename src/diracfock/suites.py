@@ -50,6 +50,7 @@ from .pairing import (
     gram,
     inner,
     orthonormalize,
+    sample_on_slice,
     tilted_slice,
 )
 from .report import (
@@ -305,9 +306,10 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     j = current(out, k)
 
     s0 = coordinate_slice(bg, t0)
+    sT = coordinate_slice(bg, t1)
     f0 = flux(j, s0)
     results.append(check_at_most(s, "flux_normalization", abs(f0 - 1.0), cfg.tol("flux_normalization")))
-    fT = flux(j, coordinate_slice(bg, t1))
+    fT = flux(j, sT)
     results.append(check_at_most(s, "slice_independence_time", abs(fT - f0), cfg.tol("slice_independence")))
     tmid = 0.5 * (t0 + t1)
     ftilt = flux(j, tilted_slice(bg, tmid, cfg.tilt))
@@ -321,29 +323,31 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
         check_at_most(s, "slice_independence_interpolated", abs(fmid - f0), cfg.tol("slice_independence"))
     )
 
-    # only the first time row of each plane wave seeds the evolution
+    # The pairing reads only slice data: each mode's samples on s0 are its
+    # plane-wave first row, and on sT its evolved history sampled once.
     first_row = chart.with_time_axis(t0, chart.dt, 1)
-    modes = []
+    at0, atT = [], []
     for mode in cfg.modes[:4]:
-        exact = plane_wave(first_row, mode.k_index, k, spin=mode.spin, branch=mode.branch)
-        modes.append(evolve(exact.values[0], bg, k, growth_abort=cfg.growth_abort))
+        v0 = plane_wave(first_row, mode.k_index, k, spin=mode.spin, branch=mode.branch).values[0]
+        at0.append(v0)
+        atT.append(sample_on_slice(evolve(v0, bg, k, growth_abort=cfg.growth_abort), sT))
 
-    g0 = gram(modes, s0, k)
-    gT = gram(modes, coordinate_slice(bg, t1), k)
+    g0 = gram(at0, s0, k)
+    gT = gram(atT, sT, k)
     results.append(
-        check_at_most(s, "gram_identity", float(np.max(np.abs(g0 - np.eye(len(modes))))), cfg.tol("hermiticity"))
+        check_at_most(s, "gram_identity", float(np.max(np.abs(g0 - np.eye(len(at0))))), cfg.tol("hermiticity"))
     )
     results.append(check_at_most(s, "gram_drift", float(np.max(np.abs(gT - g0))), cfg.tol("gram_drift")))
     results.append(
         check_at_most(s, "hermiticity", float(np.max(np.abs(g0 - g0.conj().T))), cfg.tol("hermiticity"))
     )
-    self_inners = [float(np.real(g0[a, a])) for a in range(len(modes))]
-    self_inners.append(float(np.real(inner(out, out, s0, k))))
+    packet = sample_on_slice(out, s0)
+    self_inners = [float(np.real(g0[a, a])) for a in range(len(at0))]
+    self_inners.append(float(np.real(inner(packet, packet, s0, k))))
     results.append(check_at_least(s, "positivity", min(self_inners), 0.0))
 
-    if len(modes) >= 2:
-        mixed = SpinorField(chart=chart, values=0.6 * modes[0].values + 0.8 * modes[1].values)
-        family = [modes[0], mixed] + modes[2:]
+    if len(at0) >= 2:
+        family = [at0[0], 0.6 * at0[0] + 0.8 * at0[1]] + at0[2:]
         ortho = orthonormalize(family, s0, k)
         g_on = gram(ortho, s0, k)
         results.append(
@@ -354,10 +358,9 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
                 cfg.tol("orthonormality"),
             )
         )
-        dependent = SpinorField(chart=chart, values=modes[0].values - 2.0 * modes[1].values)
         flag = 1.0
         try:
-            orthonormalize([modes[0], modes[1], dependent], s0, k)
+            orthonormalize([at0[0], at0[1], at0[0] - 2.0 * at0[1]], s0, k)
         except RankDeficientModeError as exc:
             flag = 0.0 if exc.index == 2 else 1.0
         results.append(check_exact_zero(s, "rank_deficiency_detected", flag))

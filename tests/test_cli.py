@@ -158,6 +158,11 @@ CLI_PROBES = {
         "[scenario]\nsuites = pairing\n[chart]\nshape = 64 1 1\nlengths = 32 6.283185307179586 6.283185307179586\n"
         "[modes]\nm1 = 0 0 0 0 +1\n[pairing]\nwidth = 0.001\ncenter = 16.25\ntilt = 0 0 0\n"
     ),
+    "evolve_t_start_1e15": "[scenario]\nsuites = evolve\n[chart]\nt_start = 1e15\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "evolve_t_start_1e300": "[scenario]\nsuites = evolve\n[chart]\nt_start = 1e300\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "evolve_origin_1e300": "[scenario]\nsuites = evolve\n[chart]\norigin = 1e300 0 0\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "pairing_origin_1e300": "[scenario]\nsuites = pairing\n[chart]\norigin = 1e300 0 0\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "pairing_t_start_1e17": "[scenario]\nsuites = pairing\n[chart]\nt_start = 1e17\n[modes]\nm1 = 0 0 0 0 +1\n",
     "out_is_a_file": None,
 }
 

@@ -202,6 +202,17 @@ BAD_DOCUMENTS = [
     "lengths = 32 6.283185307179586 6.283185307179586\n[modes]\nm1 = 0 0 0 0 +1\n",
     "[pairing]\nwidth = 0.0091585\ncenter = 16.25\ntilt = 0 0 0\n[scenario]\nsuites = pairing\n[chart]\n"
     "lengths = 32 6.283185307179586 6.283185307179586\n[modes]\nm1 = 0 0 0 0 +1\n",
+    # far from 0, rounding collapses an axis of a chart that a suite builds
+    "[scenario]\nsuites = evolve\n[chart]\nt_start = 1e15\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "[scenario]\nsuites = evolve\n[chart]\nt_start = 1e300\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "[scenario]\nsuites = evolve\n[chart]\norigin = 1e300 0 0\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "[scenario]\nsuites = pairing\n[chart]\norigin = 1e300 0 0\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "[scenario]\nsuites = pairing\n[chart]\nt_start = 1e17\n[modes]\nm1 = 0 0 0 0 +1\n",
+    # at t_start = 2^45 the chart's dt = 2^-6 and its x2 axis are exact, the x4 axis collapses
+    "[scenario]\nsuites = evolve\n[chart]\nt_start = 35184372088832\nsteps = 64\n[modes]\nm1 = 0 0 0 0 +1\n",
+    # at origin 2^45 the 128-node x1 axis is exact, its 256-node refinement collapses
+    "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nepsilon = 0.01\n"
+    "origin = 35184372088832 0 0\nlengths = 1 1 1\nshape = 128 1 1\n",
 ]
 
 
@@ -248,6 +259,13 @@ def test_bundled_scenarios_are_valid():
 def test_huge_integer_seed_is_accepted():
     seed = 10**400
     assert parse_config("[scenario]\nseed = %d\n" % seed).seed == seed
+
+
+def test_collapsed_axis_is_checked_only_for_suites_that_build_charts():
+    text = "[scenario]\nsuites = %s\n[chart]\nt_start = 1e17\n[modes]\nm1 = 0 0 0 0 +1\n"
+    assert parse_config(text % "identities fock").t_start == 1e17
+    with pytest.raises(ConfigError, match="rounding collapsed an axis"):
+        parse_config(text % "identities pairing")
 
 
 def test_tilt_speed_just_below_light_is_accepted():

@@ -168,6 +168,11 @@ def test_chart_validation_errors():
         MetricChart(axes=good.axes, periodic=good.periodic, family="schwarzschild")
     with pytest.raises(ChartError):
         good.with_time_axis(0.0, 1.0, 0)
+    # rounding collapses the nodes far from 0: uniform, but not increasing
+    with pytest.raises(ChartError, match="rounding collapsed an axis"):
+        good.with_time_axis(1e17, 1.0, 4)
+    with pytest.raises(ChartError, match="rounding collapsed an axis"):
+        minkowski_chart(0.0, 1.0, 2, (1.0, 1.0, 1.0), (4, 1, 1), origin=(1e300, 0.0, 0.0))
 
 
 def test_metric_must_stay_lorentzian():

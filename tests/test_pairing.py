@@ -1,9 +1,12 @@
 """Spacelike slices, flux conservation, and the hypersurface pairing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diracfock import (
+    GridMismatchError,
     NotSpacelikeError,
     RankDeficientModeError,
     SpinorField,
@@ -17,14 +20,20 @@ from diracfock import (
     inner,
     minkowski_chart,
     orthonormalize,
-    pair_current,
+    parse_config,
     plane_wave,
     sample_on_slice,
     static_diagonal_chart,
     tilted_slice,
 )
+from diracfock.scenarios import BUNDLED
+from diracfock.suites import suite_pairing
 
 TWO_PI = 2.0 * np.pi
+
+
+def on_slice(fields, s):
+    return [sample_on_slice(f, s) for f in fields]
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +68,11 @@ def test_normalized_wave_has_unit_flux(nat, wave_setup):
 def test_wave_gram_is_identity(nat, wave_setup):
     bg, modes = wave_setup
     eye = np.eye(len(modes))
-    assert np.max(np.abs(gram(modes, coordinate_slice(bg, 0.0), nat) - eye)) <= 1e-12
+    s0 = coordinate_slice(bg, 0.0)
+    assert np.max(np.abs(gram(on_slice(modes, s0), s0, nat) - eye)) <= 1e-12
     # off-node slice exercises the cubic interpolation path
     off = coordinate_slice(bg, 0.5 + 0.37 * bg.chart.dt)
-    assert np.max(np.abs(gram(modes, off, nat) - eye)) <= 1e-6
+    assert np.max(np.abs(gram(on_slice(modes, off), off, nat) - eye)) <= 1e-6
 
 
 def test_gram_matches_pairwise_inner(nat, wave_setup):
@@ -72,26 +82,43 @@ def test_gram_matches_pairwise_inner(nat, wave_setup):
         coordinate_slice(bg, 0.5 + 0.37 * bg.chart.dt),
         tilted_slice(bg, 0.5, (0.15, 0.0, 0.0)),
     ):
-        pairwise = [[inner(a, b, s, nat) for b in modes] for a in modes]
-        assert np.all(gram(modes, s, nat) == np.array(pairwise))
+        samples = on_slice(modes, s)
+        pairwise = [[inner(a, b, s, nat) for b in samples] for a in samples]
+        assert np.array_equal(gram(samples, s, nat), np.array(pairwise))
     chart = minkowski_chart(0.0, 1.0, 4, (1.0, 2.0, 3.0), (8, 1, 4))
     assert chart.cell_volume == chart.spacing[1] * chart.spacing[3]
 
 
 def test_pair_flux_between_distinct_modes_vanishes(nat, wave_setup):
     bg, modes = wave_setup
-    f = flux(pair_current(modes[2], modes[3], nat), coordinate_slice(bg, 0.0))
+    s = coordinate_slice(bg, 0.0)
+    f = inner(*on_slice(modes[2:], s), s, nat)
     assert isinstance(f, complex)
     assert abs(f) <= 1e-12
+
+
+def test_inner_and_gram_reject_histories_and_wrong_shapes(nat, wave_setup):
+    # a history would broadcast against the slice weights to a wrong number
+    bg, modes = wave_setup
+    s = coordinate_slice(bg, 0.0)
+    good = sample_on_slice(modes[0], s)
+    for bad in (modes[1].values, good[:-1], good[..., :3], good[None]):
+        with pytest.raises(GridMismatchError):
+            inner(good, bad, s, nat)
+        with pytest.raises(GridMismatchError):
+            inner(bad, good, s, nat)
+        with pytest.raises(GridMismatchError):
+            gram([good, bad], s, nat)
 
 
 def test_inner_is_hermitian_and_positive(nat, wave_setup):
     bg, modes = wave_setup
     s = coordinate_slice(bg, 0.0)
-    a = inner(modes[0], modes[2], s, nat)
-    b = inner(modes[2], modes[0], s, nat)
+    samples = on_slice(modes, s)
+    a = inner(samples[0], samples[2], s, nat)
+    b = inner(samples[2], samples[0], s, nat)
     assert abs(a - np.conj(b)) <= 1e-12
-    for m in modes:
+    for m in samples:
         n2 = inner(m, m, s, nat)
         assert abs(n2.imag) <= 1e-13
         assert n2.real > 0.0
@@ -123,18 +150,21 @@ def test_packet_flux_is_slice_independent(nat, packet_run):
 def test_orthonormalize_mixed_modes(nat, wave_setup):
     bg, modes = wave_setup
     s = coordinate_slice(bg, 0.0)
-    mixed = [modes[0], 0.6 * modes[0] + 0.8 * modes[1], modes[2]]
+    m = on_slice(modes, s)
+    mixed = [m[0], 0.6 * m[0] + 0.8 * m[1], m[2]]
     ortho = orthonormalize(mixed, s, nat)
+    assert all(o.shape == m[0].shape for o in ortho)
     assert np.max(np.abs(gram(ortho, s, nat) - np.eye(len(ortho)))) <= 1e-12
     # the span is preserved: the second output lies in span(m0, m1)
-    overlap = abs(inner(ortho[1], modes[1], s, nat))
+    overlap = abs(inner(ortho[1], m[1], s, nat))
     assert overlap > 0.9
 
 
 def test_orthonormalize_flags_dependent_mode(nat, wave_setup):
     bg, modes = wave_setup
     s = coordinate_slice(bg, 0.0)
-    dependent = [modes[0], modes[1], modes[0] + (-2.0) * modes[1]]
+    m = on_slice(modes, s)
+    dependent = [m[0], m[1], m[0] + (-2.0) * m[1]]
     with pytest.raises(RankDeficientModeError) as info:
         orthonormalize(dependent, s, nat)
     assert info.value.index == 2
@@ -183,3 +213,23 @@ def test_not_spacelike_rejections(nat):
     s = coordinate_slice(cbg, 0.5)
     assert s.times.shape == (8,)
     assert np.array_equal(s.normal, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_suite_pairing_keeps_one_history_besides_the_packet(nat):
+    # flat_pairing at 256 nodes and 300 steps, where every row still passes.
+    # The packet history, its current and one mode history at a time measure
+    # 3.45 histories of traced peak (the current's temporaries included), so
+    # the bound of 5 leaves 1.55 histories of margin; keeping all four mode
+    # histories and doing Gram-Schmidt on them measured 17.4.
+    text = BUNDLED["flat_pairing"].replace("steps = 1200", "steps = 300").replace("shape = 512 1 1", "shape = 256 1 1")
+    cfg = parse_config(text)
+    assert (cfg.steps, cfg.shape) == (300, (256, 1, 1))
+    history = 301 * 256 * 4 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        results, _ = suite_pairing(cfg, nat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 5.0 * history

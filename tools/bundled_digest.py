@@ -11,11 +11,12 @@ orthonormality residuals, and ``evolve``, ``current`` with ``divergence``,
 ``action_value``, ``dirac_residual`` and ``covariant_derivative`` on curved
 and flat grids, 1D and 3D; ``sample_on_slice``, ``flux`` and ``gram`` on a
 flat (8, 8, 1) grid for an x1 tilt, a tilt along the suppressed x3 and an
-off-node coordinate slice; and the ``operator_matrix`` arrays with the
-``car_report`` residuals for 1 to 8 modes.  Array digests fold -0.0 into +0.0 first, so they
-compare values the way ``np.array_equal`` does.  The probes use public API
-only, so the script runs unchanged against older checkouts.  Diff the output
-of two checkouts to confirm that a refactor left every result unchanged:
+off-node coordinate slice, where ``gram`` pairs each mode's
+``sample_on_slice`` samples; and the ``operator_matrix`` arrays with the
+``car_report`` residuals for 1 to 8 modes.  Array digests fold -0.0 into +0.0
+first, so they compare values the way ``np.array_equal`` does.  The probes
+use public API only.  Diff the output of two checkouts to confirm that a
+refactor left every result unchanged:
 
     python3 tools/bundled_digest.py > digest.txt
 """
@@ -125,7 +126,8 @@ def slice_lines():
         label = "slice-8x8x1-" + name
         print(label, "sample_on_slice", digest(pairing.sample_on_slice(noise, s)))
         print(label, "flux", repr(pairing.flux(j, s)))
-        print(label, "gram", digest(pairing.gram(modes, s, k)))
+        samples = [pairing.sample_on_slice(m, s) for m in modes]
+        print(label, "gram", digest(pairing.gram(samples, s, k)))
 
 
 def fock_lines():
