@@ -138,7 +138,7 @@ def current(psi: SpinorField, k: PhysicalConstants) -> CurrentField:
     imag = float(np.max(np.abs(j.imag))) if j.size else 0.0
     if imag > 1e-13 * scale:
         raise ValueError(f"current reality violated: max imaginary part {imag:.3e}")
-    return CurrentField(chart=psi.chart, values=j.real)
+    return CurrentField(chart=psi.chart, values=np.ascontiguousarray(j.real))
 
 
 def current_norm(values: np.ndarray) -> np.ndarray:
@@ -223,8 +223,6 @@ def action_value(
     the integrand is real pointwise up to rounding; integration uses cell
     weights sqrt(-det g) with trapezoid ends on the time axis.
     """
-    chart = psi.chart
-
     dens = np.zeros(psi.values.shape[:-1], dtype=np.complex128)
     for q in bg.frame_terms:
         nab = covariant_derivative(psi, bg, q).values
@@ -232,9 +230,14 @@ def action_value(
         dens += 0.5j * k.hbar * (zq - np.conj(zq))
     mass_dens = np.einsum("...A,Ab,...b->...", np.conj(psi.values), FRAME.dirac_form.T, psi.values)
     dens -= (k.mass * k.c) * mass_dens
+    return _integrate(dens, psi.chart, bg)
 
+
+def _integrate(dens: np.ndarray, chart: MetricChart, bg: Background) -> complex:
+    """Sum of a density over the chart: cell weights sqrt(-det g) dt dV with
+    trapezoid ends on the time axis."""
     weights = np.ones(dens.shape)
-    if len(psi.taxis) > 1:
+    if len(chart.axes[0]) > 1:
         weights[0] *= 0.5
         weights[-1] *= 0.5
     vol = bg.sqrt_neg_det[None, ...]

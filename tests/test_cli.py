@@ -107,6 +107,28 @@ def test_failed_check_exits_one(tmp_path, capsys):
     assert "FAIL" in report
 
 
+def test_evolve_checks_stationarity_against_the_action(tmp_path, capsys):
+    # the stationarity row pairs random perturbations with the field-equation
+    # residual; the Euler-Lagrange row checks one of them against a central
+    # difference of action_value
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(
+        "[scenario]\nname = tiny_evolve\nsuites = evolve\n"
+        "[chart]\nt_span = 1.0\nsteps = 20\nshape = 8 1 1\n"
+        "[modes]\nm1 = 0 0 0 0 +1\n"
+    )
+    out_dir = str(tmp_path / "out")
+    assert main(["run", str(cfg), "--out", out_dir]) == 0
+    capsys.readouterr()
+    rows = {}
+    for line in read(os.path.join(out_dir, "checks.jsonl")).splitlines():
+        entry = json.loads(line)
+        rows[entry["check"]] = entry
+    for name in ("action_stationarity", "action_euler_lagrange"):
+        assert rows[name]["suite"] == "evolve"
+        assert rows[name]["passed"] is True
+
+
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     dirs = [str(tmp_path / d) for d in ("a", "b")]
     for d in dirs:

@@ -160,6 +160,13 @@ BAD_DOCUMENTS = [
     "[scenario]\nsuites = pairing\n[chart]\nsteps = 2\n[modes]\nm1 = 0 0 0 0 +1\n",
     "[scenario]\nsuites = evolve\n[chart]\nshape = 3 1 1\n[modes]\nm1 = 0 0 0 0 +1\n",
     "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nshape = 4 1 1\n",
+    # an offset time axis: at t_start = 1000 the node differences jitter by
+    # ~1e-11 relative and fail the uniformity rule.  Loosening the rule would
+    # not help: MetricChart.spacing takes dt from the rounded first difference,
+    # so the dt, dt/2 and dt/4 runs of the evolve suite span 1 - 9.1e-13,
+    # 1 - 9.1e-13 and 1 + 2.2e-11, and halving_ratio reads 3.83 (rest mode)
+    # and 8.39 (k = (1, 0, 0)) against 17.0 at t_start = 0
+    "[scenario]\nsuites = evolve\n[chart]\nt_start = 1000\n[modes]\nm1 = 0 0 0 0 +1\n",
     # non-finite numbers
     "[scenario]\nmass = inf\n",
     "[chart]\nt_start = inf\n",
