@@ -84,9 +84,19 @@ def evolve(
     initial = np.asarray(initial, dtype=np.complex128)
     if initial.shape != chart.spatial_shape + (4,):
         raise ValueError("initial data does not match the chart's spatial grid")
+    snapshots = np.empty((len(chart.axes[0]),) + initial.shape, dtype=np.complex128)
+    for n, v in enumerate(_march(initial, bg, k, growth_abort)):
+        snapshots[n] = v
+    return SpinorField(chart=chart, values=snapshots)
 
+
+def _march(initial: np.ndarray, bg: Background, k: PhysicalConstants, growth_abort: float):
+    """The one RK4 loop, over one field (n1, n2, n3, 4) or a batch (B, n1, n2, n3, 4):
+    yields the initial data, then each step.  Aborts at the first step where a member's
+    norm passes growth_abort times its own initial norm (1 for zero data) or stops
+    being finite, naming the lowest-index such member."""
+    chart = bg.chart
     taxis = chart.axes[0]
-    steps = len(taxis) - 1
     dt = chart.dt
     mu = k.compton_wavenumber
     u0, a0 = bg.frame_terms[0]
@@ -95,35 +105,31 @@ def evolve(
 
     # gamma^0 gamma^0 = 1 turns sum_q gamma^q nabla_q psi = -i mu psi into
     # u_0 d_0 psi = gamma^0 (-i mu psi - sum_spatial gamma^q nabla_q psi) - A_0 psi.
+    # The batch axis sits where _nabla reads time.
     def rhs(v: np.ndarray) -> np.ndarray:
         acc = (-1j * mu) * v
         for q in spatial:
-            acc = acc - _apply(_GAMMA_ROWS[q], _nabla(v[None], bg, q, spacing[q])[0])
+            acc = acc - _apply(_GAMMA_ROWS[q], _nabla(v, bg, q, spacing[q]))
         out = _apply(_GAMMA_ROWS[0], acc)
         if a0 is not None:
-            out = out - np.einsum("xyzab,xyzb->xyza", a0, v)
-        return out / u0[..., None]
+            out = out - np.einsum("xyzab,txyzb->txyza", a0, v)
+        return out if isinstance(u0, float) else out / u0[..., None]
 
-    snapshots = np.empty((steps + 1,) + initial.shape, dtype=np.complex128)
-    snapshots[0] = initial
-    norm0 = grid_norm(initial, chart)
-    if norm0 == 0.0:
-        norm0 = 1.0
-
-    v = initial
-    for n in range(steps):
+    v = initial.reshape((-1,) + initial.shape[-4:])
+    norm0 = [grid_norm(m, chart) or 1.0 for m in v]
+    yield initial
+    for n in range(len(taxis) - 1):
         k1 = rhs(v)
         k2 = rhs(v + (0.5 * dt) * k1)
         k3 = rhs(v + (0.5 * dt) * k2)
         k4 = rhs(v + dt * k3)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        snapshots[n + 1] = v
-        nrm = grid_norm(v, chart)
-        if not np.isfinite(nrm) or nrm > growth_abort * norm0:
-            ratio = nrm / norm0 if np.isfinite(nrm) else float("inf")
-            raise EvolutionUnstableError(step=n + 1, time=float(taxis[n + 1]), ratio=ratio)
-
-    return SpinorField(chart=chart, values=snapshots)
+        for m, m0 in zip(v, norm0):
+            nrm = grid_norm(m, chart)
+            if not np.isfinite(nrm) or nrm > growth_abort * m0:
+                ratio = nrm / m0 if np.isfinite(nrm) else float("inf")
+                raise EvolutionUnstableError(step=n + 1, time=float(taxis[n + 1]), ratio=ratio)
+        yield v.reshape(initial.shape)
 
 
 def _raw_pair_current(phi_values: np.ndarray, psi_values: np.ndarray, k: PhysicalConstants) -> np.ndarray:
@@ -197,18 +203,19 @@ def timelike_report(psi_values: np.ndarray, k: PhysicalConstants) -> TimelikeRep
 def divergence(j: CurrentField, bg: Background) -> np.ndarray:
     """sum_q nabla_q J^q over the grid, shape (nt, n1, n2, n3)."""
     chart = bg.chart
-    v = j.values
-
-    out = bg.tetrad[None, ..., 0, 0] * differentiate(v[..., 0], axis=0, spacing=j.chart.dt, periodic=False)
+    out = None  # time comes first in frame_terms and always differentiates
     for q, (u, _) in bg.frame_terms.items():
-        if q > 0 and u is not None:
-            out = out + u * differentiate(v[..., q], axis=q, spacing=chart.spacing[q], periodic=chart.periodic[q])
+        if u is not None:
+            h = j.chart.dt if q == 0 else chart.spacing[q]
+            d = differentiate(j.values[..., q], axis=q, spacing=h, periodic=q > 0 and chart.periodic[q])
+            d = d if isinstance(u, float) else u * d
+            out = d if out is None else out + d
 
     if not bg.is_flat:
         # Connection trace sum_q omega_q^q_r J^r; omega is stored with both
         # frame indices lowered, so the raise is the diagonal eta factor.
         trace = np.einsum("q,xyzqqr->xyzr", np.diagonal(np.real(FRAME.metric)), bg.omega)
-        out = out + np.einsum("xyzr,txyzr->txyz", trace, v)
+        out = out + np.einsum("xyzr,txyzr->txyz", trace, j.values)
     return out
 
 

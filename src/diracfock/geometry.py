@@ -203,15 +203,17 @@ class Background:
         return self.chart.family == "minkowski"
 
     @cached_property
-    def frame_terms(self) -> dict[int, tuple[np.ndarray | None, np.ndarray | None]]:
+    def frame_terms(self) -> dict[int, tuple[np.ndarray | float | None, np.ndarray | None]]:
         """q -> (Y_q^q, A_q) for the frame directions that carry work.
 
         Y_q^q is None on a suppressed spatial axis (time always differentiates,
-        on the field's own axis) and A_q is None where it vanishes identically.
+        on the field's own axis) and 1.0 where it is identically one, so no
+        caller multiplies by it; A_q is None where it vanishes identically.
         """
         terms = {}
         for q in range(4):
             u = self.tetrad[..., q, q] if q == 0 or len(self.chart.axes[q]) > 1 else None
+            u = 1.0 if u is not None and np.all(u == 1.0) else u
             a = self.spinor_connection[..., q, :, :]
             a = a if np.any(a != 0.0) else None
             if u is not None or a is not None:
@@ -359,11 +361,13 @@ def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorFiel
 
 
 def _nabla(v: np.ndarray, bg: Background, q: int, h: float) -> np.ndarray:
-    """Y_q^q d_q v + A_q v on samples v[t, x1, x2, x3, a]; q in bg.frame_terms, h the spacing of axis q."""
+    """Y_q^q d_q v + A_q v on samples v[t, x1, x2, x3, a], or a batch in place of t for q > 0;
+    q in bg.frame_terms, h the spacing of axis q."""
     u, a = bg.frame_terms[q]
     out = 0.0
     if u is not None:
-        out = u[..., None] * differentiate(v, axis=q, spacing=h, periodic=q > 0 and bg.chart.periodic[q])
+        out = differentiate(v, axis=q, spacing=h, periodic=q > 0 and bg.chart.periodic[q])
+        out = out if isinstance(u, float) else u[..., None] * out
     if a is not None:
         out = out + np.einsum("xyzab,txyzb->txyza", a, v)
     return out

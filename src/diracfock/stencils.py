@@ -7,8 +7,9 @@ import numpy as np
 __all__ = ["differentiate", "cubic_time_interpolate"]
 
 # Integer numerators of the O(h^4) first-derivative weights; the common
-# denominator 12 h is divided out once at the end so that constant data
-# differentiates to exact zero.
+# denominator 12 h is divided out once at the end.  Constant data c leaves
+# only the rounding of 7c, so it differentiates to exact zero wherever 7c is
+# representable.
 _CENTRAL = (1, -8, 0, 8, -1)      # offsets -2..2
 _EDGE0 = (-25, 48, -36, 16, -3)   # offsets 0..4
 _EDGE1 = (-3, -10, 18, -6, 1)     # offsets -1..3
@@ -29,15 +30,18 @@ def differentiate(values: np.ndarray, axis: int, spacing: float, periodic: bool)
         raise ValueError(f"axis {axis} has {n} nodes, need at least 5 for the stencil")
 
     moved = np.moveaxis(values, axis, 0)
-    out = np.zeros_like(moved)
-    # Central rows: every node of a periodic axis, read through a 2-node
-    # wraparound halo, or nodes 2..n-3 of a bounded one.
-    src = np.concatenate((moved[n - 2 :], moved, moved[:2])) if periodic else moved
-    rows = out if periodic else out[2 : n - 2]
-    for k, w in enumerate(_CENTRAL):
-        if w != 0:
-            rows += w * src[k : k + len(rows)]
-    if not periodic:
+    if periodic:
+        # _CENTRAL on every node, read through a 2-node wraparound halo.
+        src = np.concatenate((moved[n - 2 :], moved, moved[:2]))
+        out = src[:n] - 8 * src[1 : n + 1]
+        out += 8 * src[3 : n + 3]
+        out -= src[4:]
+    else:
+        out = np.zeros_like(moved)
+        rows = out[2 : n - 2]
+        for k, w in enumerate(_CENTRAL):
+            if w != 0:
+                rows += w * moved[k : k + n - 4]
         for k, w in enumerate(_EDGE0):
             out[0] += w * moved[k]
             out[n - 1] -= w * moved[n - 1 - k]

@@ -15,6 +15,7 @@ from .config import ScenarioConfig, _packet_center_width
 from .constants import PhysicalConstants
 from .dynamics import (
     _integrate,
+    _march,
     _raw_pair_current,
     current,
     divergence,
@@ -312,7 +313,15 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
 
     center, width = _packet_center_width(cfg)
     init = gaussian_packet(chart, k, center=center, width=width, carrier_index=cfg.packet_carrier)
-    out = evolve(init, bg, k, growth_abort=cfg.growth_abort)
+    # One march steps the packet and the modes; only the packet's history is
+    # kept, and on sT (the last time node) each mode is its last state.
+    first_row = chart.with_time_axis(t0, chart.dt, 1)
+    at0 = [plane_wave(first_row, m.k_index, k, spin=m.spin, branch=m.branch).values[0] for m in cfg.modes[:4]]
+    history = np.empty((len(chart.axes[0]),) + init.shape, dtype=np.complex128)
+    for n, v in enumerate(_march(np.stack([init] + at0), bg, k, cfg.growth_abort)):
+        history[n] = v[0]
+    out = SpinorField(chart=chart, values=history)
+    atT = list(v[1:])
     j = current(out, k)
 
     s0 = coordinate_slice(bg, t0)
@@ -332,15 +341,6 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results.append(
         check_at_most(s, "slice_independence_interpolated", abs(fmid - f0), cfg.tol("slice_independence"))
     )
-
-    # The pairing reads only slice data: each mode's samples on s0 are its
-    # plane-wave first row, and on sT its evolved history sampled once.
-    first_row = chart.with_time_axis(t0, chart.dt, 1)
-    at0, atT = [], []
-    for mode in cfg.modes[:4]:
-        v0 = plane_wave(first_row, mode.k_index, k, spin=mode.spin, branch=mode.branch).values[0]
-        at0.append(v0)
-        atT.append(sample_on_slice(evolve(v0, bg, k, growth_abort=cfg.growth_abort), sT))
 
     g0 = gram(at0, s0, k)
     gT = gram(atT, sT, k)

@@ -89,6 +89,18 @@ def test_unstable_evolution_exits_three(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out_dir, "report.txt"))
 
 
+def test_pairing_abort_names_the_first_failing_step(tmp_path, capsys):
+    # flat_pairing at 40 steps (dt = 0.15) marches the packet and its four
+    # modes together; the packet passes 10x its norm at the last step
+    cfg = tmp_path / "pairing40.ini"
+    cfg.write_text(diracfock.BUNDLED["flat_pairing"].replace("steps = 1200", "steps = 40"))
+    out_dir = str(tmp_path / "out")
+    assert main(["run", str(cfg), "--out", out_dir]) == 3
+    err = capsys.readouterr().err
+    assert err == "instability: evolution unstable: norm ratio 2.060e+01 at step 40, x0 = 6\n"
+    assert not os.path.exists(os.path.join(out_dir, "report.txt"))
+
+
 def test_failed_check_exits_one(tmp_path, capsys):
     cfg = tmp_path / "strict.ini"
     cfg.write_text(

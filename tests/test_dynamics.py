@@ -27,6 +27,7 @@ from diracfock import (
     static_diagonal_chart,
     timelike_report,
 )
+from diracfock.dynamics import _march
 
 TWO_PI = 2.0 * np.pi
 
@@ -137,6 +138,60 @@ def test_evolve_rejects_mismatched_initial(nat):
     bg = build_background(chart)
     with pytest.raises(ValueError):
         evolve(np.zeros((8, 1, 1, 4), dtype=complex), bg, nat)
+
+
+def march_charts():
+    return {
+        "flat_1d": flat_chart(shape=(64, 1, 1), t_span=0.5, steps=20),
+        "flat_8cubed": flat_chart(shape=(8, 8, 8), t_span=0.2, steps=8),
+        "curved_sin": static_diagonal_chart(
+            0.0, 0.5, 20, (TWO_PI, TWO_PI, TWO_PI), (32, 1, 1), epsilon=0.01, profile="sin"
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["flat_1d", "flat_8cubed", "curved_sin"])
+def test_march_steps_a_batch_exactly_like_single_evolves(name, nat):
+    chart = march_charts()[name]
+    bg = build_background(chart)
+    u0, a0 = bg.frame_terms[0]
+    # the curved chart divides by u_0 and applies A_0 under the batch axis
+    assert isinstance(u0, np.ndarray) == (a0 is not None) == (name == "curved_sin")
+    rng = np.random.default_rng(11)
+    shape = (3,) + chart.spatial_shape + (4,)
+    batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    singles = [evolve(member, bg, nat).values for member in batch]
+    states = list(_march(batch, bg, nat, 10.0))
+    assert len(states) == len(chart.axes[0])
+    for n, state in enumerate(states):
+        assert state.shape == batch.shape
+        for b, history in enumerate(singles):
+            assert np.array_equal(state[b], history[n])
+    with pytest.raises(ValueError, match="spatial grid"):
+        evolve(batch, bg, nat)
+
+
+def test_batched_march_aborts_at_the_first_failing_step(nat):
+    # the chart of test_evolve_aborts_on_unstable_step: alone, the k = 6
+    # carrier aborts at step 5 and the k = 8 and k = 7 carriers at step 2,
+    # with ratios 55.7 and 15.1; the zero member's norm counts as 1
+    chart = flat_chart(t_span=10.0, steps=20)
+    bg = build_background(chart)
+    carriers = [plane_wave(chart, (kx, 0, 0), nat).values[0] for kx in (6, 8, 7)]
+    batch = np.stack([np.zeros_like(carriers[0])] + carriers)
+    alone = []
+    for member in carriers:
+        with pytest.raises(EvolutionUnstableError) as info:
+            evolve(member, bg, nat)
+        alone.append((info.value.step, info.value.ratio))
+    assert [step for step, _ in alone] == [5, 2, 2]
+    assert alone[1][1] > 50.0 and 10.0 < alone[2][1] < 20.0
+    with pytest.raises(EvolutionUnstableError) as info:
+        for _ in _march(batch, bg, nat, 10.0):
+            pass
+    err = info.value
+    # the first failing step, reported by its lowest-index failing member
+    assert (err.step, err.ratio, err.time) == (2, alone[1][1], 1.0)
 
 
 def tiny_field(u, nat):

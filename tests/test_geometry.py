@@ -231,6 +231,25 @@ def test_periodic_differentiate_matches_roll_reference(n):
         assert np.array_equal(out, ref / (12.0 * 0.25))
 
 
+def test_periodic_and_bounded_differentiate_sum_in_one_order():
+    # the halo path and the bounded central rows both form ((a - 8b) + 8c) - d
+    rng = np.random.default_rng(5)
+    for axis in range(3):
+        shape = [5, 6, 3]
+        shape[axis] = 11
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        periodic = np.moveaxis(differentiate(v, axis=axis, spacing=0.3, periodic=True), axis, 0)
+        bounded = np.moveaxis(differentiate(v, axis=axis, spacing=0.3, periodic=False), axis, 0)
+        assert np.array_equal(periodic[2:-2], bounded[2:-2])
+    # a constant whose multiples by 7 are exact differentiates to exact zero;
+    # any other constant c leaves the rounding of 7c, at most ulp(7c) / 12h
+    const = np.full((4, 9, 2), 3.25 - 1.5j)
+    assert np.all(differentiate(const, axis=1, spacing=0.1, periodic=True) == 0.0)
+    for c in rng.standard_normal(50):
+        out = differentiate(np.full(8, c), axis=0, spacing=0.1, periodic=True)
+        assert np.all(np.abs(out) <= np.spacing(7.0 * abs(c)) / 1.2)
+
+
 def test_differentiate_degenerate_axes():
     values = np.arange(6.0).reshape(2, 1, 3)
     assert np.all(differentiate(values, axis=1, spacing=1.0, periodic=True) == 0.0)
