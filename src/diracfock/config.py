@@ -258,9 +258,11 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("growth_abort must exceed 1")
     if not cfg.suites:
         raise ConfigError("at least one suite must be selected")
-    for name in cfg.suites:
+    for i, name in enumerate(cfg.suites):
         if name not in SUITE_NAMES:
             raise ConfigError("unknown suite %r (choose from %s)" % (name, ", ".join(SUITE_NAMES)))
+        if name in cfg.suites[:i]:
+            raise ConfigError("suite %r is selected twice" % name)
 
     if cfg.family not in FAMILIES:
         raise ConfigError("family must be minkowski or static-diagonal")

@@ -14,7 +14,7 @@ import numpy as np
 from .constants import PhysicalConstants
 from .fields import CurrentField, SpinorField
 from .geometry import Background, MetricChart, _nabla, covariant_derivative
-from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, FRAME, _apply
+from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, FRAME, _apply, _Rows
 from .stencils import differentiate
 
 __all__ = [
@@ -47,8 +47,8 @@ class EvolutionUnstableError(RuntimeError):
         )
 
 
-# M^q = D^T gamma^q, (M^q)_{abar b} = sum_a D_{a abar} gamma^{a q}_b; Hermitian.
-_PAIRING = _apply(_DIRAC_FORM_ROWS.T, FRAME.gamma, axis=-2)
+# M^q = D^T gamma^q as dense matrices, for the current's einsum.
+_PAIRING = np.stack([r.dense() for r in _PAIRING_ROWS])
 
 
 def grid_norm(values: np.ndarray, chart: MetricChart) -> float:
@@ -227,17 +227,26 @@ def action_value(
     """Discretized action of the field over the chart.
 
     The derivative part is antisymmetrized between psi and its conjugate, so
-    the integrand is real pointwise up to rounding; integration uses cell
-    weights sqrt(-det g) with trapezoid ends on the time axis.
+    it is real exactly; the mass form is real up to rounding, and the density
+    stays complex so that rounding shows.  The forms are contracted from
+    their signed-permutation rows.  Integration uses cell weights
+    sqrt(-det g) with trapezoid ends on the time axis.
     """
+    cpsi = np.conj(psi.values)
     dens = np.zeros(psi.values.shape[:-1], dtype=np.complex128)
     for q in bg.frame_terms:
-        nab = covariant_derivative(psi, bg, q).values
-        zq = np.einsum("...A,Ab,...b->...", np.conj(psi.values), _PAIRING[q], nab)
+        zq = _form(cpsi, _PAIRING_ROWS[q], covariant_derivative(psi, bg, q).values)
         dens += 0.5j * k.hbar * (zq - np.conj(zq))
-    mass_dens = np.einsum("...A,Ab,...b->...", np.conj(psi.values), FRAME.dirac_form.T, psi.values)
-    dens -= (k.mass * k.c) * mass_dens
+    dens -= (k.mass * k.c) * _form(cpsi, _DIRAC_FORM_ROWS.T, psi.values)
     return _integrate(dens, psi.chart, bg)
+
+
+def _form(cpsi: np.ndarray, rows: _Rows, w: np.ndarray) -> np.ndarray:
+    """sum_ab cpsi_a M_ab w_b for the signed permutation M, one spinor component a at a time."""
+    out = cpsi[..., 0] * (rows.phase[0] * w[..., rows.perm[0]])
+    for a in range(1, 4):
+        out += cpsi[..., a] * (rows.phase[a] * w[..., rows.perm[a]])
+    return out
 
 
 def _integrate(dens: np.ndarray, chart: MetricChart, bg: Background) -> complex:

@@ -107,6 +107,10 @@ class _Rows(NamedTuple):
         inv = np.argsort(self.perm)
         return _Rows(inv, self.phase[inv])
 
+    def __matmul__(self, other: "_Rows") -> "_Rows":
+        """Rows of the product: row a of self picks row perm[a] of other."""
+        return _Rows(other.perm[self.perm], self.phase * other.phase[self.perm])
+
     def dense(self) -> np.ndarray:
         out = np.zeros((4, 4), dtype=np.complex128)
         out[np.arange(4), self.perm] = self.phase
@@ -128,6 +132,9 @@ _DIRAC_FORM_ROWS = _GAMMA_ROWS[0]
 _CHIRALITY_ROWS = _rows((0, 1, 2, 3), (1, 1, -1, -1))
 _METRIC_ROWS = _rows((0, 1, 2, 3), (1, -1, -1, -1))
 _SKEW_METRIC_ROWS = _rows((1, 0, 3, 2), (1, -1, -1, 1))
+# D^T gamma^q, (D^T gamma^q)_{abar b} = sum_a D_{a abar} gamma^{a q}_b: the
+# Hermitian forms of the current and of the action's derivative terms.
+_PAIRING_ROWS = tuple(_DIRAC_FORM_ROWS.T @ g for g in _GAMMA_ROWS)
 
 
 def _apply(rows: _Rows, v: np.ndarray, axis: int = -1) -> np.ndarray:

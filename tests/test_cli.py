@@ -219,6 +219,15 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, probe):
     assert "Traceback" not in err
 
 
+def test_repeated_suite_override_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "fock_m6", "--suite", "fock,fock", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:") and "twice" in err
+    assert not out.exists()
+
+
 def test_module_entry_point_prints_one_config_error_line(tmp_path):
     # python -m diracfock.cli must not import the module twice (a runpy
     # warning line on stderr) before reporting the config error.

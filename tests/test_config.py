@@ -133,6 +133,8 @@ BAD_DOCUMENTS = [
     "[scenario]\ngrowth_abort = 1.0\n",
     "[scenario]\nsuites =\n",
     "[scenario]\nsuites = algebra\n",
+    "[scenario]\nsuites = fock fock\n",
+    "[scenario]\nsuites = identities current identities\n",
     "[chart]\nfamily = kerr\n",
     "[chart]\nsteps = 0\n",
     "[chart]\nt_span = 0\n",

@@ -9,8 +9,10 @@ from diracfock import (
     SpinorField,
     action_value,
     build_background,
+    canonical_gamma_set,
     closed_form_current_norm,
     coordinate_slice,
+    covariant_derivative,
     current,
     current_norm,
     dirac_residual,
@@ -290,6 +292,46 @@ def test_action_is_real_on_arbitrary_fields(nat):
         v = rng.standard_normal(chart.shape + (4,)) + 1j * rng.standard_normal(chart.shape + (4,))
         s = action_value(SpinorField(chart, v), bg, nat)
         assert abs(s.imag) <= 1e-12 * max(1.0, abs(s.real))
+
+
+def _dense_action(psi, bg, k):
+    """action_value written with dense 4x4 forms and 3-operand einsums."""
+    gs = canonical_gamma_set()
+    cpsi = np.conj(psi.values)
+    dens = np.zeros(psi.values.shape[:-1], dtype=np.complex128)
+    for q in bg.frame_terms:
+        m = gs.dirac_form.T @ gs.gamma[q]
+        z = np.einsum("...A,Ab,...b->...", cpsi, m, covariant_derivative(psi, bg, q).values)
+        dens += 0.5j * k.hbar * (z - np.conj(z))
+    dens -= k.mass * k.c * np.einsum("...A,Ab,...b->...", cpsi, gs.dirac_form.T, psi.values)
+    weights = np.ones(len(psi.chart.axes[0]))
+    weights[[0, -1]] = 0.5
+    vol = weights[:, None, None, None] * bg.sqrt_neg_det[None]
+    return complex(np.sum(dens * vol) * psi.chart.dt * psi.chart.cell_volume)
+
+
+ACTION_CHARTS = {
+    "flat-1d": lambda: flat_chart(shape=(32, 1, 1), t_span=1.0, steps=12),
+    "flat-8^3": lambda: flat_chart(shape=(8, 8, 8), t_span=0.5, steps=6),
+    "curved-sin-8^3": lambda: static_diagonal_chart(0.0, 0.5, 6, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.3, profile="sin"),
+}
+
+
+# The row contraction differs from the dense einsum by summation order only:
+# measured at most 4.2e-16 relative on these charts.
+@pytest.mark.parametrize("name", sorted(ACTION_CHARTS))
+def test_action_value_matches_dense_einsum_reference(nat, name):
+    chart = ACTION_CHARTS[name]()
+    bg = build_background(chart)
+    massless = PhysicalConstants.natural_units(mass=0.0)
+    rng = np.random.default_rng(17)
+    shape = chart.shape + (4,)
+    for _ in range(3):
+        psi = SpinorField(chart, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        ref = _dense_action(psi, bg, nat)
+        assert abs(action_value(psi, bg, nat) - ref) <= 1e-13 * abs(ref)
+        # with no mass form left, the antisymmetrized derivative part is real exactly
+        assert action_value(psi, bg, massless).imag == 0.0
 
 
 # |central difference - Euler-Lagrange pairing| measured at most 3.6e-14 over

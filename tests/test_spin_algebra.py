@@ -9,11 +9,13 @@ from diracfock import (
     clifford_residual,
     tau_conjugate,
 )
+from diracfock.dynamics import _PAIRING
 from diracfock.spin_algebra import (
     _CHIRALITY_ROWS,
     _DIRAC_FORM_ROWS,
     _GAMMA_ROWS,
     _METRIC_ROWS,
+    _PAIRING_ROWS,
     _SKEW_METRIC_ROWS,
     CHIRALITY_SIGNATURE,
     DIRAC_FORM_SIGNATURE,
@@ -167,3 +169,18 @@ def test_row_application_equals_dense_einsum_exactly(gs):
         assert np.array_equal(_apply(rows.T, v), np.einsum("...a,ab->...b", v, m))
         assert np.array_equal(_apply(rows, v, axis=-2), np.einsum("ab,...bc->...ac", m, v))
         assert np.array_equal(_apply(rows.T, v, axis=-2), np.einsum("ba,...bc->...ac", m, v))
+
+
+def test_row_products_equal_dense_products_exactly(gs):
+    tables = _row_tables(gs)
+    for a, ma in tables:
+        for b, mb in tables:
+            assert np.array_equal((a @ b).dense(), ma @ mb)
+
+
+def test_pairing_rows_state_the_current_and_action_forms(gs):
+    for q in range(4):
+        assert np.array_equal(_PAIRING_ROWS[q].dense(), gs.dirac_form.T @ gs.gamma[q])
+        assert np.array_equal(_PAIRING_ROWS[q].dense(), _PAIRING[q])
+        m = _PAIRING_ROWS[q].dense()
+        assert np.array_equal(m, m.conj().T)  # Hermitian

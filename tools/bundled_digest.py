@@ -14,7 +14,9 @@ flat (8, 8, 1) grid for an x1 tilt, a tilt along the suppressed x3 and an
 off-node coordinate slice, where ``gram`` pairs each mode's
 ``sample_on_slice`` samples; and the ``operator_matrix`` arrays with the
 ``car_report`` residuals for 1 to 8 modes.  Array digests fold -0.0 into +0.0
-first, so they compare values the way ``np.array_equal`` does.  The probes
+first, so they compare values the way ``np.array_equal`` does.  Scalars
+(residuals, fluxes, ``action_value``) print as ``repr``, so a stated rounding
+change shows its size in the diff.  The probes
 use public API only.  Diff the output of two checkouts to confirm that a
 refactor left every result unchanged:
 
@@ -81,7 +83,7 @@ def field_lines(label, bg, initial, k):
     print(label, "evolve", digest(out.values))
     print(label, "current", digest(j.values))
     print(label, "divergence", digest(dynamics.divergence(j, bg)))
-    print(label, "action_value", digest(dynamics.action_value(out, bg, k)))
+    print(label, "action_value", repr(dynamics.action_value(out, bg, k)))
     print(label, "dirac_residual", digest(dynamics.dirac_residual(out, bg, k).values))
     for q in range(4):
         print(label, "covariant_derivative_%d" % q, digest(geometry.covariant_derivative(out, bg, q).values))
