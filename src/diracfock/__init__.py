@@ -29,6 +29,7 @@ from .geometry import (
     torsion_residual,
 )
 from .dynamics import (
+    CurrentRealityError,
     EvolutionUnstableError,
     action_value,
     closed_form_current_norm,

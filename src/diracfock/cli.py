@@ -1,8 +1,8 @@
 """Scenario runner: load a config, run the selected suites, write reports.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails,
-2 configuration problem or unwritable output, 3 numerical instability
-during evolution.
+2 configuration problem, unwritable output or a library input error that
+stops a suite, 3 numerical instability during evolution.
 """
 
 from __future__ import annotations
@@ -12,7 +12,10 @@ import os
 import sys
 
 from .config import ConfigError, ScenarioConfig, _constants, load_config, parse_config
-from .dynamics import EvolutionUnstableError
+from .dynamics import CurrentRealityError, EvolutionUnstableError
+from .fields import GridMismatchError
+from .geometry import ChartError
+from .pairing import NotSpacelikeError, RankDeficientModeError
 from .report import CheckResult, render_jsonl, render_text
 from .scenarios import BUNDLED, scenario_names
 from .suites import SUITES
@@ -56,6 +59,17 @@ def write_outputs(cfg: ScenarioConfig, results: list[CheckResult], artifacts: di
         with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(content)
     return text
+
+# Raised by the library for input it cannot take; any other exception is a
+# bug and keeps its traceback.
+LIBRARY_ERRORS = (
+    ChartError,
+    CurrentRealityError,
+    GridMismatchError,
+    NotSpacelikeError,
+    RankDeficientModeError,
+    NotImplementedError,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,6 +116,9 @@ def main(argv: list[str] | None = None) -> int:
     except EvolutionUnstableError as exc:
         print("instability: %s" % exc, file=sys.stderr)
         return 3
+    except LIBRARY_ERRORS as exc:
+        print("error: %s: %s" % (type(exc).__name__, " ".join(str(exc).split())), file=sys.stderr)
+        return 2
 
     try:
         text = write_outputs(cfg, results, artifacts)

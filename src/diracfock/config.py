@@ -366,4 +366,6 @@ def load_config(path: str) -> ScenarioConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s is not UTF-8 text: %s" % (path, exc)) from exc
     return parse_config(text)

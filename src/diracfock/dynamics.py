@@ -18,6 +18,7 @@ from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, FRAME, _
 from .stencils import differentiate
 
 __all__ = [
+    "CurrentRealityError",
     "EvolutionUnstableError",
     "TimelikeReport",
     "dirac_residual",
@@ -33,6 +34,10 @@ __all__ = [
     "gaussian_packet",
     "grid_norm",
 ]
+
+
+class CurrentRealityError(ValueError):
+    """A field's current has an imaginary part above the reality bound."""
 
 
 class EvolutionUnstableError(RuntimeError):
@@ -143,7 +148,7 @@ def current(psi: SpinorField, k: PhysicalConstants) -> CurrentField:
     scale = max(1.0, float(np.max(np.abs(j))) if j.size else 1.0)
     imag = float(np.max(np.abs(j.imag))) if j.size else 0.0
     if imag > 1e-13 * scale:
-        raise ValueError(f"current reality violated: max imaginary part {imag:.3e}")
+        raise CurrentRealityError(f"current reality violated: max imaginary part {imag:.3e}")
     return CurrentField(chart=psi.chart, values=np.ascontiguousarray(j.real))
 
 

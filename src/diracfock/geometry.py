@@ -6,7 +6,8 @@ g = diag(g00(x1), -1, -1, -1).  A Background caches everything derived from
 the metric on the spatial grid: tetrad, Christoffel symbols, the frame
 connection one-form and the spinor connection coefficients.
 
-Index conventions for cached arrays (leading axes are the spatial grid):
+Index conventions for cached arrays (leading axes are the spatial grid; each is
+a read-only view of per-x1 values broadcast over x2 and x3):
     metric[..., i, j]          coordinate components
     tetrad[..., q, mu]         frame vector q, coordinate component mu
     christoffel[..., k, i, j]  Gamma^k_{ij}
@@ -222,23 +223,23 @@ class Background:
 
 
 def _diagonal_gradient(chart: MetricChart, values: np.ndarray) -> np.ndarray:
-    """d_mu of static diagonal entries values[..., k], spread onto [..., mu, k, k]; d_0 is zero."""
+    """d_mu of diagonal entries values[..., k] that depend on x1 alone, spread onto [..., mu, k, k]."""
     k = np.arange(4)
     out = np.zeros(values.shape[:-1] + (4, 4, 4))
-    for mu in (1, 2, 3):
-        out[..., mu, k, k] = differentiate(values, axis=mu - 1, spacing=chart.spacing[mu], periodic=chart.periodic[mu])
+    out[..., 1, k, k] = differentiate(values, axis=0, spacing=chart.spacing[1], periodic=chart.periodic[1])
     return out
 
 
 def build_background(chart: MetricChart) -> Background:
     """Levi-Civita data and the induced spinor connection for the chart.
 
-    Both families are diagonal, so everything comes from the entries g_kk and
-    their 4th-order differences; the spinor coefficients are
-    A_q = (1/4) omega_{q,pr} gamma^p gamma^r.  Failure modes: non-Lorentzian
-    signature and vanishing metric determinant raise ChartError.
+    Both families are diagonal in x1 alone, so everything comes from g_kk on
+    one x1 column and its 4th-order differences, broadcast read-only over x2
+    and x3; A_q = (1/4) omega_{q,pr} gamma^p gamma^r.  Failure modes:
+    non-Lorentzian signature and vanishing metric determinant raise ChartError.
     """
-    g = chart.metric_values()
+    column = replace(chart, axes=chart.axes[:2] + tuple(a[:1] for a in chart.axes[2:]))
+    g = column.metric_values()
 
     diag = np.diagonal(g, axis1=-2, axis2=-1)  # g_kk
     if np.any(diag[..., 0] <= 0.0) or np.any(diag[..., 1:] >= 0.0):
@@ -268,15 +269,14 @@ def build_background(chart: MetricChart) -> Background:
     gamma_products = np.stack([_apply(rows, FRAME.gamma, axis=-2) for rows in _GAMMA_ROWS])  # [p, r, a, c]
     spinor_connection = 0.25 * np.einsum("...qpr,prab->...qab", omega, gamma_products)
 
-    return Background(
-        chart=chart,
-        metric=g,
-        tetrad=tetrad,
-        christoffel=christoffel,
-        omega=omega,
-        spinor_connection=spinor_connection,
-        sqrt_neg_det=np.sqrt(-det),
-    )
+    arrays = (g, tetrad, christoffel, omega, spinor_connection, np.sqrt(-det))  # in field order
+    return Background(chart, *(np.broadcast_to(a, chart.spatial_shape + a.shape[3:]) for a in arrays))
+
+
+def _column(values: np.ndarray) -> np.ndarray:
+    """x2 = x3 = 0 column of a view that zero strides hold constant along x2 and x3; any other array whole."""
+    constant = all(s == 0 for n, s in zip(values.shape[1:3], values.strides[1:3]) if n > 1)
+    return values[:, :1, :1] if constant else values
 
 
 @dataclass(frozen=True)
@@ -303,9 +303,9 @@ def concordance_residuals(bg: Background) -> ConcordanceReport:
     derivatives reduce to connection contractions; the residuals measure how
     far the discretized connection is from a metric connection.
     """
-    a = bg.spinor_connection             # [..., q, a, b]
+    a = _column(bg.spinor_connection)    # [..., q, a, b]
     at = np.swapaxes(a, -1, -2)
-    omega = bg.omega                     # [..., q, p, r] lowered
+    omega = _column(bg.omega)            # [..., q, p, r] lowered
     eta = np.diagonal(np.real(FRAME.metric))
 
     r_metric = float(np.max(np.abs(omega + np.swapaxes(omega, -1, -2))))
@@ -319,30 +319,25 @@ def concordance_residuals(bg: Background) -> ConcordanceReport:
     # nabla_q gamma^p = omega_q^p_r gamma^r + [A_q, gamma^p], one p at a time.
     r_gamma = 0.0
     for p, gp in enumerate(_GAMMA_ROWS):
-        rot = np.zeros(a.shape, dtype=np.complex128)
+        rot = np.zeros(np.broadcast_shapes(a.shape, omega.shape), dtype=np.complex128)
         for r, gr in enumerate(_GAMMA_ROWS):
             rot[..., np.arange(4), gr.perm] += (eta[p] * omega[..., p, r])[..., None] * gr.phase
         r_gamma = max(r_gamma, float(np.max(np.abs(rot + (_apply(gp.T, a) - _apply(gp, a, axis=-2))))))
 
-    return ConcordanceReport(
-        nabla_metric=r_metric,
-        nabla_skew_metric=r_skew,
-        nabla_chirality=r_chir,
-        nabla_dirac_form=r_dirac,
-        nabla_gamma=r_gamma,
-    )
+    return ConcordanceReport(r_metric, r_skew, r_chir, r_dirac, r_gamma)
 
 
 def torsion_residual(bg: Background) -> float:
     """Max |Gamma^k_{ij} - Gamma^k_{ji}|; zero by construction, asserted not assumed."""
-    return float(np.max(np.abs(bg.christoffel - np.swapaxes(bg.christoffel, -1, -2))))
+    gamma = _column(bg.christoffel)
+    return float(np.max(np.abs(gamma - np.swapaxes(gamma, -1, -2))))
 
 
 def frame_orthonormality_residual(bg: Background) -> float:
     """Max-norm of g(Y_p, Y_r) - eta_{pr} over the grid."""
-    eta = np.real(FRAME.metric)
-    gram = np.einsum("...pm,...mn,...rn->...pr", bg.tetrad, bg.metric, bg.tetrad)
-    return float(np.max(np.abs(gram - eta)))
+    tetrad = _column(bg.tetrad)
+    gram = np.einsum("...pm,...mn,...rn->...pr", tetrad, _column(bg.metric), tetrad)
+    return float(np.max(np.abs(gram - np.real(FRAME.metric))))
 
 
 def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorField:

@@ -9,8 +9,16 @@ from pathlib import Path
 import pytest
 
 import diracfock
-from diracfock import scenario_names
+from diracfock import (
+    ChartError,
+    CurrentRealityError,
+    GridMismatchError,
+    NotSpacelikeError,
+    RankDeficientModeError,
+    scenario_names,
+)
 from diracfock.cli import main
+from diracfock.suites import SUITES
 
 
 def read(path):
@@ -217,6 +225,50 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, probe):
     assert len(err.splitlines()) == 1
     assert err.startswith(("config error:", "output error:"))
     assert "Traceback" not in err
+
+
+def test_non_utf8_config_file_exits_two_with_one_line(tmp_path, capsys):
+    config = tmp_path / "latin1.ini"
+    config.write_bytes("[scenario]\nname = caf\u00e9\n".encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:") and "UTF-8" in err
+    assert not out.exists()
+
+
+LIBRARY_ERRORS = [
+    ChartError("metric sample is singular\n  at x1 node 3"),
+    GridMismatchError("field and background live on different grids"),
+    NotSpacelikeError("induced metric is not negative definite"),
+    RankDeficientModeError(2),
+    CurrentRealityError("current reality violated: max imaginary part 1.000e-03"),
+    NotImplementedError("slice times varying along x2/x3 are not supported"),
+]
+
+
+@pytest.mark.parametrize("exc", LIBRARY_ERRORS, ids=lambda e: type(e).__name__)
+def test_library_error_in_a_suite_exits_two_with_one_line(tmp_path, capsys, monkeypatch, exc):
+    def fail(cfg, constants):
+        raise exc
+
+    monkeypatch.setitem(SUITES, "fock", fail)
+    out = tmp_path / "out"
+    assert main(["run", "flat_identities", "--suite", "fock", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %s: %s\n" % (type(exc).__name__, " ".join(str(exc).split()))
+    assert not out.exists()
+
+
+def test_other_value_error_in_a_suite_is_not_a_config_problem(tmp_path, monkeypatch):
+    # A plain ValueError is a bug in the library, not bad input: it keeps its traceback.
+    def fail(cfg, constants):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setitem(SUITES, "fock", fail)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["run", "flat_identities", "--suite", "fock", "--out", str(tmp_path / "out")])
 
 
 def test_repeated_suite_override_exits_two(tmp_path, capsys):
