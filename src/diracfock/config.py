@@ -192,7 +192,8 @@ def parse_config(text: str) -> ScenarioConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError("parse failure: %s" % exc) from exc
+        # configparser's messages span lines; exit 2 promises one
+        raise ConfigError("parse failure: %s" % " ".join(str(exc).split())) from exc
 
     fields = {}
     for section in parser.sections():
@@ -362,7 +363,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig also takes UTF-8 that starts with a byte-order mark
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError("cannot read %s: %s" % (path, exc)) from exc

@@ -64,16 +64,22 @@ class MetricChart:
     family: str
     epsilon: float = 0.0
     profile: str = "linear"
+    # the step each axis was built with; None reads it off the first two nodes.
+    # Far from 0 the nodes are rounded to a few units of their magnitude, so
+    # their differences are not the step the axis was built with.
+    step: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
         if len(self.axes) != 4:
             raise ChartError("a chart needs 4 axes")
-        for a in self.axes:
+        if self.step is None:
+            object.__setattr__(self, "step", tuple(float(a[1] - a[0]) if len(a) > 1 else 1.0 for a in self.axes))
+        for a, h in zip(self.axes, self.step):
             if len(a) > 1:
-                steps = np.diff(a)
-                if not np.all(steps > 0.0):
+                diffs = np.diff(a)
+                if not np.all(diffs > 0.0):
                     raise ChartError("axis nodes must increase (rounding collapsed an axis)")
-                if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-14):
+                if not np.allclose(diffs, h, rtol=1e-12, atol=4 * np.spacing(np.max(np.abs(a)))):
                     raise ChartError("axes must be uniform")
         if self.family not in FAMILIES:
             raise ChartError(f"unknown metric family {self.family!r}")
@@ -90,7 +96,7 @@ class MetricChart:
 
     @property
     def spacing(self) -> tuple[float, float, float, float]:
-        return tuple(float(a[1] - a[0]) if len(a) > 1 else 1.0 for a in self.axes)
+        return tuple(h if len(a) > 1 else 1.0 for a, h in zip(self.axes, self.step))
 
     @property
     def dt(self) -> float:
@@ -114,7 +120,8 @@ class MetricChart:
         return vol
 
     def with_time_axis(self, t_start: float, t_span: float, steps: int) -> "MetricChart":
-        return replace(self, axes=(_time_axis(t_start, t_span, steps),) + self.axes[1:])
+        axis = _time_axis(t_start, t_span, steps)
+        return replace(self, axes=(axis,) + self.axes[1:], step=(t_span / steps,) + self.step[1:])
 
     def metric_values(self) -> np.ndarray:
         """Coordinate metric sampled on the spatial grid, shape (n1,n2,n3,4,4)."""
@@ -155,7 +162,8 @@ def minkowski_chart(
     axes = (_time_axis(t_start, t_span, steps),) + tuple(
         _spatial_axis(lengths[k], shape[k], origin[k]) for k in range(3)
     )
-    return MetricChart(axes=axes, periodic=(False, True, True, True), family="minkowski")
+    step = (t_span / steps,) + tuple(lengths[k] / shape[k] for k in range(3))
+    return MetricChart(axes=axes, periodic=(False, True, True, True), family="minkowski", step=step)
 
 
 def static_diagonal_chart(
@@ -173,8 +181,10 @@ def static_diagonal_chart(
     _, periodic_x1 = PROFILES[profile]
     if periodic_x1 or shape[0] == 1:
         x1 = _spatial_axis(lengths[0], shape[0], origin[0])
+        h1 = lengths[0] / shape[0]
     else:
         x1 = origin[0] + np.linspace(0.0, lengths[0], shape[0])
+        h1 = lengths[0] / (shape[0] - 1)
     axes = (_time_axis(t_start, t_span, steps), x1) + tuple(
         _spatial_axis(lengths[k], shape[k], origin[k]) for k in (1, 2)
     )
@@ -184,6 +194,7 @@ def static_diagonal_chart(
         family="static-diagonal",
         epsilon=epsilon,
         profile=profile,
+        step=(t_span / steps, h1, lengths[1] / shape[1], lengths[2] / shape[2]),
     )
 
 

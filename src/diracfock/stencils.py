@@ -7,9 +7,11 @@ import numpy as np
 __all__ = ["differentiate", "cubic_time_interpolate"]
 
 # Integer numerators of the O(h^4) first-derivative weights; the common
-# denominator 12 h is divided out once at the end.  Constant data c leaves
-# only the rounding of 7c, so it differentiates to exact zero wherever 7c is
-# representable.
+# denominator 12 h is divided out once at the end.  Constant data c does not
+# differentiate to exact zero in general: the partial sum c - 8c rounds
+# whenever 7c is not representable, as it is not for most c, and that
+# rounding survives the later terms.  Small integers such as the flat
+# metric's +-1 do give exact zeros.
 _CENTRAL = (1, -8, 0, 8, -1)      # offsets -2..2
 _EDGE0 = (-25, 48, -36, 16, -3)   # offsets 0..4
 _EDGE1 = (-3, -10, 18, -6, 1)     # offsets -1..3

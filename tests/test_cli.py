@@ -205,6 +205,7 @@ CLI_PROBES = {
     "evolve_origin_1e300": "[scenario]\nsuites = evolve\n[chart]\norigin = 1e300 0 0\n[modes]\nm1 = 0 0 0 0 +1\n",
     "pairing_origin_1e300": "[scenario]\nsuites = pairing\n[chart]\norigin = 1e300 0 0\n[modes]\nm1 = 0 0 0 0 +1\n",
     "pairing_t_start_1e17": "[scenario]\nsuites = pairing\n[chart]\nt_start = 1e17\n[modes]\nm1 = 0 0 0 0 +1\n",
+    "ini_syntax_error": "[scenario]\nname = x\ngarbage\n",
     "out_is_a_file": None,
 }
 
@@ -236,6 +237,30 @@ def test_non_utf8_config_file_exits_two_with_one_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:") and "UTF-8" in err
     assert not out.exists()
+
+
+def test_byte_order_mark_config_runs_like_plain_utf8(tmp_path, capsys):
+    from diracfock import BUNDLED
+
+    plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+    plain.write_text(BUNDLED["flat_identities"], encoding="utf-8")
+    marked.write_text(BUNDLED["flat_identities"], encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for path in (plain, marked):
+        assert main(["run", str(path), "--suite", "identities", "--out", str(tmp_path / path.stem)]) == 0
+    capsys.readouterr()
+    assert read(str(tmp_path / "plain" / "report.txt")) == read(str(tmp_path / "marked" / "report.txt"))
+
+
+def test_offset_time_axis_passes_every_check(tmp_path, capsys):
+    # the evolve suite's dt, dt/2 and dt/4 runs step by the nominal dt, not by
+    # the difference of two nodes rounded near t = 1000
+    config = tmp_path / "offset.ini"
+    config.write_text("[scenario]\nsuites = evolve\n[chart]\nt_start = 1000\n[modes]\nm1 = 0 0 0 0 +1\n")
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    rows = [line for line in read(str(tmp_path / "out" / "report.txt")).splitlines() if line.startswith("[evolve]")]
+    assert len(rows) == 7 and all(line.endswith("PASS") for line in rows)
 
 
 LIBRARY_ERRORS = [

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracfock import (
@@ -22,6 +22,7 @@ from diracfock import (
     permutation_parity,
     vacuum,
 )
+from diracfock.fock import _anticommutator_residual, _column_maps
 
 
 def test_occupation_bitset_round_trip():
@@ -84,7 +85,7 @@ def test_permutation_parity_agrees_with_transposition_count():
         assert permutation_parity(perm) == (-1) ** swaps
 
 
-@pytest.mark.parametrize("nmodes", range(1, 7))
+@pytest.mark.parametrize("nmodes", range(1, 9))
 def test_car_residuals_are_exact_zero(nmodes):
     rep = car_report(nmodes)
     assert rep.annihilate_pairs == 0.0
@@ -92,6 +93,48 @@ def test_car_residuals_are_exact_zero(nmodes):
     assert rep.mixed_pairs == 0.0
     assert rep.adjointness == 0.0
     assert rep.max() == 0.0
+
+
+def _dense_residual(x, y, shift):
+    return float(np.max(np.abs(x @ y + y @ x - shift * np.eye(len(x)))))
+
+
+def _column_map_residual(x, y, shift):
+    return _anticommutator_residual(_column_maps([x]), _column_maps([y]), shift)
+
+
+@st.composite
+def _partial_signed_permutation(draw, dim):
+    rows = draw(st.permutations(list(range(dim))))
+    entries = draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), min_size=dim, max_size=dim))
+    m = np.zeros((dim, dim))
+    m[rows, np.arange(dim)] = entries
+    return m
+
+
+def _flipped_ladder_pair():
+    """annihilate(1) of 3 modes with one sign flipped, and create(1): {a, c} - I != 0."""
+    a = operator_matrix("annihilate", 1, 3)
+    row, col = np.argwhere(a)[0]
+    a[row, col] = -a[row, col]
+    return a, operator_matrix("create", 1, 3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@example(_flipped_ladder_pair(), 1.0)
+@given(st.integers(1, 12).flatmap(
+    lambda dim: st.tuples(_partial_signed_permutation(dim), _partial_signed_permutation(dim))),
+    st.sampled_from([0.0, 1.0]))
+def test_column_map_residual_equals_the_dense_one(pair, shift):
+    x, y = pair
+    assert _column_map_residual(x, y, shift) == _dense_residual(x, y, shift)
+
+
+def test_two_nonzeros_in_one_column_are_rejected():
+    m = operator_matrix("create", 0, 2)
+    m[0, 0] = 1.0   # column 0 already holds create(0)|0> at row 1
+    with pytest.raises(ValueError, match="more than one nonzero"):
+        _column_maps([m])
 
 
 def test_operator_matrix_adjointness_and_validation():

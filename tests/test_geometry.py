@@ -253,6 +253,17 @@ def test_chart_validation_errors():
         minkowski_chart(0.0, 1.0, 2, (1.0, 1.0, 1.0), (4, 1, 1), origin=(1e300, 0.0, 0.0))
 
 
+def test_uniformity_tolerance_scales_with_the_axis_offset():
+    offset = minkowski_chart(1000.0, 0.1, 10, (1.0, 1.0, 1.0), (4, 1, 1))
+    assert not np.all(np.diff(offset.axes[0]) == np.diff(offset.axes[0])[0])  # rounding jitter
+    assert offset.dt == 0.1 / 10 != offset.axes[0][1] - offset.axes[0][0]
+    assert offset.with_time_axis(1000.0, 0.1, 40).dt == 0.1 / 40
+    displaced = offset.axes[0].copy()
+    displaced[5] *= 1.0 + 1e-9
+    with pytest.raises(ChartError, match="axes must be uniform"):
+        MetricChart(axes=(displaced,) + offset.axes[1:], periodic=offset.periodic, family="minkowski")
+
+
 def test_metric_must_stay_lorentzian():
     chart = static_diagonal_chart(
         0.0, 1.0, 2, (TWO_PI, TWO_PI, TWO_PI), (16, 1, 1), epsilon=1.5, profile="sin"
