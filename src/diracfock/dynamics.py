@@ -52,10 +52,6 @@ class EvolutionUnstableError(RuntimeError):
         )
 
 
-# M^q = D^T gamma^q as dense matrices, for the current's einsum.
-_PAIRING = np.stack([r.dense() for r in _PAIRING_ROWS])
-
-
 def grid_norm(values: np.ndarray, chart: MetricChart) -> float:
     """L2 norm of spatial spinor samples with cell-volume weighting."""
     dens = np.sum(np.abs(values) ** 2, axis=-1)
@@ -137,8 +133,81 @@ def _march(initial: np.ndarray, bg: Background, k: PhysicalConstants, growth_abo
         yield v.reshape(initial.shape)
 
 
+# Samples per block of the current's contraction: one real scratch row is 32 KiB.
+_BLOCK = 4096
+
+
+def _pair_plan(same: bool):
+    """The pairs (a, b) whose conj(phi_a) psi_b = R_ab + i I_ab the rows of
+    D^T gamma^q use, and for Re J^q and Im J^q (output rows 2q, 2q + 1) the
+    (index into [R..., I...], sign) of each spinor row a's term, in order
+    a = 0..3.  When phi is psi, R_ba = R_ab and I_ba = -I_ab exactly, so a
+    pair b < a reads (b, a)."""
+
+    def key(a: int, b: int) -> tuple[int, int]:
+        return (b, a) if same and b < a else (a, b)
+
+    rows = [list(zip(r.perm.tolist(), r.phase.tolist())) for r in _PAIRING_ROWS]
+    pairs = sorted({key(a, b) for row in rows for a, (b, _) in enumerate(row)})
+    terms: list[list[tuple[int, float]]] = []
+    for row in rows:
+        re, im = [], []
+        for a, (b, p) in enumerate(row):
+            r = pairs.index(key(a, b))
+            i = len(pairs) + r
+            flip = 1.0 if key(a, b) == (a, b) else -1.0
+            # p (R + i I) = (p.re R - p.im I) + i (p.re I + p.im R)
+            if p.real:
+                re.append((r, p.real))
+                im.append((i, p.real * flip))
+            else:
+                re.append((i, -p.imag * flip))
+                im.append((r, p.imag))
+        terms += [re, im]
+    return pairs, terms
+
+
 def _raw_pair_current(phi_values: np.ndarray, psi_values: np.ndarray, k: PhysicalConstants) -> np.ndarray:
-    return k.c * np.einsum("...A,qAb,...b->...q", np.conj(phi_values), _PAIRING, psi_values)
+    """c phi^dagger D^T gamma^q psi for q = 0..3, complex, shape (..., 4).
+
+    Contracted from the signed-permutation rows, _BLOCK samples at a time in
+    real arithmetic: R_ab and I_ab are formed once per pair the rows use, and
+    each J^q sums its rows in order a = 0..3, the phase (+-1, +-i) choosing R
+    or I and the sign.  For J(psi, psi) that order cancels Im J^q exactly.
+    """
+    same = phi_values is psi_values
+    phi = np.asarray(phi_values, dtype=np.complex128)
+    psi = phi if same else np.asarray(psi_values, dtype=np.complex128)
+    shape = phi.shape
+    phi, psi = phi.reshape(-1, 4), psi.reshape(-1, 4)
+    pairs, terms = _pair_plan(same)
+
+    n = min(_BLOCK, len(phi))
+    x = np.empty((2, 4, n))  # re, im of each spinor component
+    y = x if same else np.empty((2, 4, n))
+    ri = np.empty((2 * len(pairs), n))  # R of each pair, then I
+    t, acc = np.empty(n), np.empty((8, n))
+    out = np.empty(phi.shape, dtype=np.complex128)
+    flat = out.view(np.float64)  # column 2q + (0 re, 1 im)
+    for s in range(0, len(phi), _BLOCK):
+        m = min(_BLOCK, len(phi) - s)
+        x_, y_, ri_, t_, acc_ = (b[..., :m] for b in (x, y, ri, t, acc))
+        for buf, v in ((x_, phi),) if same else ((x_, phi), (y_, psi)):
+            buf[0] = v[s : s + m].real.T
+            buf[1] = v[s : s + m].imag.T
+        for p, (a, b) in enumerate(pairs):
+            r, i = ri_[p], ri_[len(pairs) + p]
+            np.multiply(x_[0, a], y_[0, b], out=r)
+            r += np.multiply(x_[1, a], y_[1, b], out=t_)
+            np.multiply(x_[0, a], y_[1, b], out=i)
+            i -= np.multiply(x_[1, a], y_[0, b], out=t_)
+        for j, ((src, sg), *rest) in enumerate(terms):
+            np.multiply(ri_[src], sg, out=acc_[j])
+            for src, sg in rest:
+                (np.add if sg > 0 else np.subtract)(acc_[j], ri_[src], out=acc_[j])
+        flat[s : s + m] = acc_.T
+        out[s : s + m] *= k.c
+    return out.reshape(shape)
 
 
 def current(psi: SpinorField, k: PhysicalConstants) -> CurrentField:

@@ -9,7 +9,6 @@ from diracfock import (
     clifford_residual,
     tau_conjugate,
 )
-from diracfock.dynamics import _PAIRING
 from diracfock.spin_algebra import (
     _CHIRALITY_ROWS,
     _DIRAC_FORM_ROWS,
@@ -181,6 +180,5 @@ def test_row_products_equal_dense_products_exactly(gs):
 def test_pairing_rows_state_the_current_and_action_forms(gs):
     for q in range(4):
         assert np.array_equal(_PAIRING_ROWS[q].dense(), gs.dirac_form.T @ gs.gamma[q])
-        assert np.array_equal(_PAIRING_ROWS[q].dense(), _PAIRING[q])
         m = _PAIRING_ROWS[q].dense()
         assert np.array_equal(m, m.conj().T)  # Hermitian
