@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from diracfock import (
     CurrentRealityError,
     EvolutionUnstableError,
+    GridMismatchError,
     PhysicalConstants,
     SpinorField,
     action_value,
@@ -36,7 +37,7 @@ from diracfock import (
 )
 from diracfock import dynamics
 from diracfock.dynamics import _march, _raw_pair_current
-from diracfock.spin_algebra import _PAIRING_ROWS, _Rows
+from diracfock.spin_algebra import _DIRAC_FORM_ROWS, _PAIRING_ROWS, _Rows
 
 TWO_PI = 2.0 * np.pi
 
@@ -407,6 +408,108 @@ def test_action_value_matches_dense_einsum_reference(nat, name):
         assert abs(action_value(psi, bg, nat) - ref) <= 1e-13 * abs(ref)
         # with no mass form left, the antisymmetrized derivative part is real exactly
         assert action_value(psi, bg, massless).imag == 0.0
+
+
+def _reference_action(psi, bg, k, rows=None):
+    """action_value's full-history body before it was blocked, with each complex
+    product written (phase w_b) cpsi_a: the operand order numpy's temporary
+    elision gave it on histories of 256 KiB or more.  With ``rows`` the forms
+    are taken on that many time rows of the full-history arrays at a time."""
+    v = psi.values
+    cpsi = np.conj(v)
+    nabla = {q: covariant_derivative(psi, bg, q).values for q in bg.frame_terms}
+    dens = np.zeros(v.shape[:-1], dtype=np.complex128)
+    step = rows or len(v)
+    for s in range(0, len(v), step):
+        c, d = cpsi[s : s + step], dens[s : s + step]
+
+        def form(m, w):
+            out = np.multiply(m.phase[0] * w[..., m.perm[0]], c[..., 0])
+            for a in range(1, 4):
+                out += np.multiply(m.phase[a] * w[..., m.perm[a]], c[..., a])
+            return out
+
+        for q in bg.frame_terms:
+            zq = form(_PAIRING_ROWS[q], nabla[q][s : s + step])
+            d += 0.5j * k.hbar * (zq - np.conj(zq))
+        d -= (k.mass * k.c) * form(_DIRAC_FORM_ROWS.T, v[s : s + step])
+    return dynamics._integrate(dens, psi.chart, bg)
+
+
+def _block_rows(chart):
+    return max(8, dynamics._ACTION_BLOCK // int(np.prod(chart.spatial_shape)))
+
+
+BLOCKED_CHARTS = {
+    "flat-1d": lambda steps: flat_chart(shape=(256, 1, 1), t_span=1.0, steps=steps),
+    "flat-8^3": lambda steps: flat_chart(shape=(8, 8, 8), t_span=0.5, steps=steps),
+    "curved-sin-8^3": lambda steps: static_diagonal_chart(
+        0.0, 0.5, steps, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.3, profile="sin"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_CHARTS))
+def test_blocked_action_equals_the_full_history_body_bit_for_bit(nat, name):
+    # time-node counts around the block size B: one block of 5 rows, B - 1,
+    # B, B + 1 (a last block of 1 row), and 2B + 3 (an inner block with a
+    # halo on both sides, then a last block of 3 rows that clamps its halo).
+    # On the 1D chart B = 32, so the reference's form temporaries span
+    # 20 KiB to 268 KiB, both sides of numpy's 256 KiB elision threshold;
+    # its 3-row evaluation stays below it.
+    b = _block_rows(BLOCKED_CHARTS[name](10))
+    massless = PhysicalConstants.natural_units(mass=0.0)
+    rng = np.random.default_rng(23)
+    for nt in (5, b - 1, b, b + 1, 2 * b + 3):
+        chart = BLOCKED_CHARTS[name](nt - 1)
+        bg = build_background(chart)
+        shape = chart.shape + (4,)
+        psi = SpinorField(chart, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        s = action_value(psi, bg, nat)
+        assert s == _reference_action(psi, bg, nat) == _reference_action(psi, bg, nat, rows=3)
+        s = action_value(psi, bg, massless)
+        assert s == _reference_action(psi, bg, massless)
+        assert s.imag == 0.0
+
+
+def test_action_rejects_short_time_axes_and_other_grids(nat):
+    chart = flat_chart(shape=(16, 1, 1), steps=3)
+    psi = SpinorField(chart, np.ones(chart.shape + (4,), dtype=complex))
+    with pytest.raises(ValueError, match="axis 0 has 4 nodes"):
+        action_value(psi, build_background(chart), nat)
+    with pytest.raises(GridMismatchError):
+        action_value(psi, build_background(flat_chart(shape=(8, 1, 1), steps=3)), nat)
+
+
+# numpy elides temporaries of 256 KiB or more: 16384 complex samples
+@pytest.mark.parametrize("samples", [1000, 16383, 16384, 100000])
+def test_quartic_is_the_same_at_every_size(nat, samples):
+    rng = np.random.default_rng(samples)
+    p = rng.standard_normal((samples, 4)) + 1j * rng.standard_normal((samples, 4))
+    blocks = [closed_form_current_norm(p[s : s + 1000], nat) for s in range(0, samples, 1000)]
+    assert np.array_equal(closed_form_current_norm(p, nat), np.concatenate(blocks))
+
+
+def test_action_holds_about_one_history_of_temporaries(nat):
+    # A (301, 256, 1, 1, 4) history: the complex density is a quarter of a
+    # history, and _integrate's weights and weighted copy take 0.375 more;
+    # the 32-row block's buffers and derivatives take the rest.  Measured
+    # peak 1.11 histories; the bound leaves 0.09.  The full-history body,
+    # with its conjugate, two covariant derivatives and form products,
+    # measured 4.54.
+    chart = flat_chart(shape=(256, 1, 1), t_span=1.0, steps=300)
+    bg = build_background(chart)
+    rng = np.random.default_rng(6)
+    shape = chart.shape + (4,)
+    psi = SpinorField(chart, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    history = psi.values.nbytes
+    tracemalloc.start()
+    try:
+        action_value(psi, bg, nat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * history
 
 
 # |central difference - Euler-Lagrange pairing| measured at most 3.6e-14 over

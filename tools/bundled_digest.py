@@ -1,8 +1,12 @@
 """Digest of every bundled scenario's outputs and of the library's array paths,
 for byte-identity gates.
 
-Runs each bundled scenario through ``cli.main`` into a temporary directory
-and prints one ``scenario file sha256`` line per output file and for the
+First come three header lines: numpy's version, and the baseline and found
+SIMD extensions of its build.  Byte identity is promised per host and per
+numpy build: the rounding of a complex product depends on the SIMD kernel
+numpy dispatches to, so two digests compare only where their headers agree.
+Then it runs each bundled scenario through ``cli.main`` into a temporary
+directory and prints one ``scenario file sha256`` line per output file and for the
 captured stderr, then one ``scenario exit <code>`` line.  After those it
 prints one ``probe name sha256`` line per array that the library computes on
 charts no bundled scenario reaches: the ``build_background`` arrays of sin
@@ -142,7 +146,15 @@ def fock_lines():
             print("fock-%d" % nmodes, "car_report", name, repr(getattr(rep, name)))
 
 
+def header_lines():
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    print("numpy", np.__version__)
+    print("numpy simd baseline", " ".join(simd.get("baseline", [])))
+    print("numpy simd found", " ".join(simd.get("found", [])))
+
+
 def main() -> None:
+    header_lines()
     scenario_lines()
     background_lines()
     dynamics_lines()
