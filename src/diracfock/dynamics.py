@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fields import CurrentField, GridMismatchError, SpinorField
-from .geometry import Background, MetricChart, _nabla, covariant_derivative
+from .fields import CurrentField, SpinorField
+from .geometry import Background, MetricChart, _check_grid, _nabla, covariant_derivative
 from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, FRAME, _apply, _Rows
 from .stencils import differentiate
 
@@ -102,7 +102,6 @@ def _march(initial: np.ndarray, bg: Background, k: PhysicalConstants, growth_abo
     mu = k.compton_wavenumber
     u0, a0 = bg.frame_terms[0]
     spatial = [q for q in bg.frame_terms if q > 0]
-    spacing = chart.spacing
 
     # gamma^0 gamma^0 = 1 turns sum_q gamma^q nabla_q psi = -i mu psi into
     # u_0 d_0 psi = gamma^0 (-i mu psi - sum_spatial gamma^q nabla_q psi) - A_0 psi.
@@ -110,7 +109,7 @@ def _march(initial: np.ndarray, bg: Background, k: PhysicalConstants, growth_abo
     def rhs(v: np.ndarray) -> np.ndarray:
         acc = (-1j * mu) * v
         for q in spatial:
-            acc = acc - _apply(_GAMMA_ROWS[q], _nabla(v, bg, q, spacing[q]))
+            acc = acc - _apply(_GAMMA_ROWS[q], _nabla(v, bg, q, chart))
         out = _apply(_GAMMA_ROWS[0], acc)
         if a0 is not None:
             out = out - np.einsum("xyzab,txyzb->txyza", a0, v)
@@ -282,13 +281,13 @@ def timelike_report(psi_values: np.ndarray, k: PhysicalConstants) -> TimelikeRep
 
 
 def divergence(j: CurrentField, bg: Background) -> np.ndarray:
-    """sum_q nabla_q J^q over the grid, shape (nt, n1, n2, n3)."""
-    chart = bg.chart
+    """sum_q nabla_q J^q over the grid, shape (nt, n1, n2, n3), of a current on bg's spatial grid."""
+    chart = j.chart
+    _check_grid(chart, bg)
     out = None  # time comes first in frame_terms and always differentiates
     for q, (u, _) in bg.frame_terms.items():
         if u is not None:
-            h = j.chart.dt if q == 0 else chart.spacing[q]
-            d = differentiate(j.values[..., q], axis=q, spacing=h, periodic=q > 0 and chart.periodic[q])
+            d = differentiate(j.values[..., q], axis=q, spacing=chart.spacing[q], periodic=q > 0 and chart.periodic[q])
             d = d if isinstance(u, float) else u * d
             out = d if out is None else out + d
 
@@ -321,14 +320,13 @@ def action_value(
     whole axis), the spatial nabla_q from the block alone.  Only the complex
     density spans the whole history.  Integration uses cell weights
     sqrt(-det g) with trapezoid ends on the time axis.  A time axis of 2 to
-    4 nodes raises ValueError, as the stencil does.
+    4 nodes raises ValueError, as the stencil does; a field off bg's spatial
+    grid raises GridMismatchError.
     """
-    if psi.chart is not bg.chart and psi.chart.spatial_shape != bg.chart.spatial_shape:
-        raise GridMismatchError("field and background live on different grids")
+    _check_grid(psi.chart, bg)
     v = psi.values
     nt, spatial = v.shape[0], v.shape[1:-1]
     block = max(8, _ACTION_BLOCK // int(np.prod(spatial)))
-    h = (psi.chart.dt,) + bg.chart.spacing[1:]
     dens = np.zeros(v.shape[:-1], dtype=np.complex128)
     n = min(block, nt)
     cpsi = np.empty((4, n) + spatial, dtype=np.complex128)  # planar: component a first
@@ -341,9 +339,9 @@ def action_value(
         for q in bg.frame_terms:
             if q == 0:
                 lo, hi = max(0, min(s - 2, nt - 5)), min(nt, max(e + 2, 5))
-                w = _nabla(v[lo:hi], bg, 0, h[0])[s - lo : s - lo + m]
+                w = _nabla(v[lo:hi], bg, 0, psi.chart)[s - lo : s - lo + m]
             else:
-                w = _nabla(v[s:e], bg, q, h[q])
+                w = _nabla(v[s:e], bg, q, psi.chart)
             _form(cpsi_, _PAIRING_ROWS[q], w, z_, t_)
             np.subtract(z_, np.conjugate(z_, out=t_), out=z_)
             d += np.multiply(z_, 0.5j * k.hbar, out=z_)
@@ -371,13 +369,12 @@ def _form(cpsi: np.ndarray, rows: _Rows, w: np.ndarray, out: np.ndarray, tmp: np
 def _integrate(dens: np.ndarray, chart: MetricChart, bg: Background) -> complex:
     """Sum of a density over the chart: cell weights sqrt(-det g) dt dV with
     trapezoid ends on the time axis."""
-    weights = np.ones(dens.shape)
+    weights = np.ones((len(dens), 1, 1, 1))
     if len(chart.axes[0]) > 1:
         weights[0] *= 0.5
         weights[-1] *= 0.5
-    vol = bg.sqrt_neg_det[None, ...]
     cell = chart.dt * chart.cell_volume
-    return complex(np.sum(dens * weights * vol) * cell)
+    return complex(np.sum(dens * weights * bg.sqrt_neg_det) * cell)
 
 
 def dispersion_mode(

@@ -2,12 +2,13 @@
 
 A chart is a 4D coordinate box with uniform axes.  Supported metric families
 are the rectilinear Minkowski chart and static diagonal metrics
-g = diag(g00(x1), -1, -1, -1).  A Background caches everything derived from
-the metric on the spatial grid: tetrad, Christoffel symbols, the frame
-connection one-form and the spinor connection coefficients.
+g = diag(g00(x1), -1, -1, -1), functions of x1 alone.  A Background caches
+everything derived from the metric on the x1 column: tetrad, Christoffel
+symbols, the frame connection one-form and the spinor connection
+coefficients.  A field meets it on the same spatial grid, on any time axis.
 
-Index conventions for cached arrays (leading axes are the spatial grid; each is
-a read-only view of per-x1 values broadcast over x2 and x3):
+Index conventions for cached arrays (read-only; the leading axes (n1, 1, 1)
+are the x1 column, which numpy broadcasts over x2 and x3):
     metric[..., i, j]          coordinate components
     tetrad[..., q, mu]         frame vector q, coordinate component mu
     christoffel[..., k, i, j]  Gamma^k_{ij}
@@ -124,15 +125,15 @@ class MetricChart:
         return replace(self, axes=(axis,) + self.axes[1:], step=(t_span / steps,) + self.step[1:])
 
     def metric_values(self) -> np.ndarray:
-        """Coordinate metric sampled on the spatial grid, shape (n1,n2,n3,4,4)."""
-        diag = np.empty(self.spatial_shape + (4,))
+        """Coordinate metric sampled on the x1 column, shape (n1,1,1,4,4)."""
+        diag = np.empty((len(self.axes[1]), 1, 1, 4))
         diag[...] = (1.0, -1.0, -1.0, -1.0)
         if self.family == "static-diagonal":
             profile, _ = PROFILES[self.profile]
             diag[..., 0] = profile(self.axes[1], self.epsilon)[:, None, None]
             if np.any(diag[..., 0] <= 0.0):
                 raise ChartError("g00 must stay positive on the chart")
-        g = np.zeros(self.spatial_shape + (4, 4))
+        g = np.zeros(diag.shape[:-1] + (4, 4))
         g[..., np.arange(4), np.arange(4)] = diag
         return g
 
@@ -200,7 +201,7 @@ def static_diagonal_chart(
 
 @dataclass(frozen=True)
 class Background:
-    """Chart plus every metric-derived array cached on the spatial grid."""
+    """Chart plus every metric-derived array cached on the x1 column."""
 
     chart: MetricChart
     metric: np.ndarray
@@ -245,12 +246,11 @@ def build_background(chart: MetricChart) -> Background:
     """Levi-Civita data and the induced spinor connection for the chart.
 
     Both families are diagonal in x1 alone, so everything comes from g_kk on
-    one x1 column and its 4th-order differences, broadcast read-only over x2
-    and x3; A_q = (1/4) omega_{q,pr} gamma^p gamma^r.  Failure modes:
+    the x1 column and its 4th-order differences, stored read-only with shape
+    (n1, 1, 1, ...); A_q = (1/4) omega_{q,pr} gamma^p gamma^r.  Failure modes:
     non-Lorentzian signature and vanishing metric determinant raise ChartError.
     """
-    column = replace(chart, axes=chart.axes[:2] + tuple(a[:1] for a in chart.axes[2:]))
-    g = column.metric_values()
+    g = chart.metric_values()
 
     diag = np.diagonal(g, axis1=-2, axis2=-1)  # g_kk
     if np.any(diag[..., 0] <= 0.0) or np.any(diag[..., 1:] >= 0.0):
@@ -281,13 +281,9 @@ def build_background(chart: MetricChart) -> Background:
     spinor_connection = 0.25 * np.einsum("...qpr,prab->...qab", omega, gamma_products)
 
     arrays = (g, tetrad, christoffel, omega, spinor_connection, np.sqrt(-det))  # in field order
-    return Background(chart, *(np.broadcast_to(a, chart.spatial_shape + a.shape[3:]) for a in arrays))
-
-
-def _column(values: np.ndarray) -> np.ndarray:
-    """x2 = x3 = 0 column of a view that zero strides hold constant along x2 and x3; any other array whole."""
-    constant = all(s == 0 for n, s in zip(values.shape[1:3], values.strides[1:3]) if n > 1)
-    return values[:, :1, :1] if constant else values
+    for a in arrays:
+        a.setflags(write=False)
+    return Background(chart, *arrays)
 
 
 @dataclass(frozen=True)
@@ -314,9 +310,9 @@ def concordance_residuals(bg: Background) -> ConcordanceReport:
     derivatives reduce to connection contractions; the residuals measure how
     far the discretized connection is from a metric connection.
     """
-    a = _column(bg.spinor_connection)    # [..., q, a, b]
+    a = bg.spinor_connection  # [..., q, a, b]
     at = np.swapaxes(a, -1, -2)
-    omega = _column(bg.omega)            # [..., q, p, r] lowered
+    omega = bg.omega  # [..., q, p, r] lowered
     eta = np.diagonal(np.real(FRAME.metric))
 
     r_metric = float(np.max(np.abs(omega + np.swapaxes(omega, -1, -2))))
@@ -340,14 +336,13 @@ def concordance_residuals(bg: Background) -> ConcordanceReport:
 
 def torsion_residual(bg: Background) -> float:
     """Max |Gamma^k_{ij} - Gamma^k_{ji}|; zero by construction, asserted not assumed."""
-    gamma = _column(bg.christoffel)
+    gamma = bg.christoffel
     return float(np.max(np.abs(gamma - np.swapaxes(gamma, -1, -2))))
 
 
 def frame_orthonormality_residual(bg: Background) -> float:
     """Max-norm of g(Y_p, Y_r) - eta_{pr} over the grid."""
-    tetrad = _column(bg.tetrad)
-    gram = np.einsum("...pm,...mn,...rn->...pr", tetrad, _column(bg.metric), tetrad)
+    gram = np.einsum("...pm,...mn,...rn->...pr", bg.tetrad, bg.metric, bg.tetrad)
     return float(np.max(np.abs(gram - np.real(FRAME.metric))))
 
 
@@ -357,22 +352,31 @@ def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorFiel
     nabla_q psi = Y_q^mu d_mu psi + A_q psi, with 4th-order differences;
     spatial axes honour the chart's periodicity flags, the time axis uses
     one-sided stencils at its ends.  Conjugate fields use the conjugated
-    coefficients, so conj(nabla psi) = nabla conj(psi) exactly.
+    coefficients, so conj(nabla psi) = nabla conj(psi) exactly.  A field off
+    the background's spatial grid raises GridMismatchError.
     """
-    if psi.chart is not bg.chart and psi.chart.spatial_shape != bg.chart.spatial_shape:
-        raise GridMismatchError("field and background live on different grids")
+    _check_grid(psi.chart, bg)
     if q not in bg.frame_terms:
         return psi.with_values(np.zeros_like(psi.values))
-    return psi.with_values(_nabla(psi.values, bg, q, psi.chart.dt if q == 0 else bg.chart.spacing[q]))
+    return psi.with_values(_nabla(psi.values, bg, q, psi.chart))
 
 
-def _nabla(v: np.ndarray, bg: Background, q: int, h: float) -> np.ndarray:
-    """Y_q^q d_q v + A_q v on samples v[t, x1, x2, x3, a], or a batch in place of t for q > 0;
-    q in bg.frame_terms, h the spacing of axis q."""
+def _check_grid(chart: MetricChart, bg: Background) -> None:
+    """GridMismatchError unless a field on chart has the background's spatial axes,
+    spacings and periodic flags; its time axis may differ."""
+    ref = bg.chart
+    same = chart.periodic[1:] == ref.periodic[1:] and chart.spacing[1:] == ref.spacing[1:]
+    if not (same and all(map(np.array_equal, chart.axes[1:], ref.axes[1:]))):
+        raise GridMismatchError("field and background live on different grids")
+
+
+def _nabla(v: np.ndarray, bg: Background, q: int, chart: MetricChart) -> np.ndarray:
+    """Y_q^q d_q v + A_q v on samples v[t, x1, x2, x3, a] of a field on chart, or a batch
+    in place of t for q > 0; q in bg.frame_terms, the chart checked by _check_grid."""
     u, a = bg.frame_terms[q]
     out = 0.0
     if u is not None:
-        out = differentiate(v, axis=q, spacing=h, periodic=q > 0 and bg.chart.periodic[q])
+        out = differentiate(v, axis=q, spacing=chart.spacing[q], periodic=q > 0 and chart.periodic[q])
         out = out if isinstance(u, float) else u[..., None] * out
     if a is not None:
         out = out + np.einsum("xyzab,txyzb->txyza", a, v)

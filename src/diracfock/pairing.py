@@ -63,7 +63,7 @@ def coordinate_slice(bg: Background, t0: float) -> Slice:
     g3det = -(bg.metric[..., 1, 1] * bg.metric[..., 2, 2] * bg.metric[..., 3, 3])
     if np.any(g3det <= 0.0):
         raise NotSpacelikeError("induced metric is not negative definite")
-    weights = np.sqrt(g3det) * bg.chart.cell_volume
+    weights = np.broadcast_to(np.sqrt(g3det) * bg.chart.cell_volume, bg.chart.spatial_shape)
     times = np.full(len(bg.chart.axes[1]), float(t0))
     return Slice(times=times, normal=np.array([1.0, 0.0, 0.0, 0.0]), area_weights=weights)
 

@@ -12,7 +12,6 @@ __all__ = ["differentiate", "cubic_time_interpolate"]
 # whenever 7c is not representable, as it is not for most c, and that
 # rounding survives the later terms.  Small integers such as the flat
 # metric's +-1 do give exact zeros.
-_CENTRAL = (1, -8, 0, 8, -1)      # offsets -2..2
 _EDGE0 = (-25, 48, -36, 16, -3)   # offsets 0..4
 _EDGE1 = (-3, -10, 18, -6, 1)     # offsets -1..3
 
@@ -33,23 +32,22 @@ def differentiate(values: np.ndarray, axis: int, spacing: float, periodic: bool)
 
     moved = np.moveaxis(values, axis, 0)
     if periodic:
-        # _CENTRAL on every node, read through a 2-node wraparound halo.
+        # Central weights (1, -8, 0, 8, -1) on every node, through a 2-node wraparound halo.
         src = np.concatenate((moved[n - 2 :], moved, moved[:2]))
         out = src[:n] - 8 * src[1 : n + 1]
         out += 8 * src[3 : n + 3]
         out -= src[4:]
     else:
-        out = np.zeros_like(moved)
+        # The same on the interior rows; the far end rows mirror the near ones
+        # with negated weights, which is exactly 0 - w0 x0 - w1 x1 - ...
+        out = np.empty_like(moved)
         rows = out[2 : n - 2]
-        for k, w in enumerate(_CENTRAL):
-            if w != 0:
-                rows += w * moved[k : k + n - 4]
-        for k, w in enumerate(_EDGE0):
-            out[0] += w * moved[k]
-            out[n - 1] -= w * moved[n - 1 - k]
-        for k, w in enumerate(_EDGE1):
-            out[1] += w * moved[k]
-            out[n - 2] -= w * moved[n - 1 - k]
+        np.subtract(moved[: n - 4], 8 * moved[1 : n - 3], out=rows)
+        rows += 8 * moved[3 : n - 1]
+        rows -= moved[4:]
+        for i, weights in enumerate((_EDGE0, _EDGE1)):
+            out[i] = sum(w * moved[k] for k, w in enumerate(weights))
+            out[n - 1 - i] = sum(-w * moved[n - 1 - k] for k, w in enumerate(weights))
     return np.moveaxis(out, 0, axis) / (12.0 * spacing)
 
 

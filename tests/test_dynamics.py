@@ -477,8 +477,27 @@ def test_action_rejects_short_time_axes_and_other_grids(nat):
     psi = SpinorField(chart, np.ones(chart.shape + (4,), dtype=complex))
     with pytest.raises(ValueError, match="axis 0 has 4 nodes"):
         action_value(psi, build_background(chart), nat)
-    with pytest.raises(GridMismatchError):
-        action_value(psi, build_background(flat_chart(shape=(8, 1, 1), steps=3)), nat)
+    longer_box = flat_chart(shape=(16, 1, 1), lengths=(2 * TWO_PI, TWO_PI, TWO_PI))  # the same node counts
+    for other in (flat_chart(shape=(8, 1, 1), steps=3), longer_box):
+        with pytest.raises(GridMismatchError):
+            action_value(psi, build_background(other), nat)
+    # a field on another time axis of the same spatial grid is accepted
+    later = chart.with_time_axis(0.5, 1.0, 8)
+    psi = SpinorField(later, np.ones(later.shape + (4,), dtype=complex))
+    assert action_value(psi, build_background(chart), nat) == action_value(psi, build_background(later), nat)
+
+
+def test_divergence_rejects_other_grids(nat):
+    chart = flat_chart(shape=(16, 1, 1))
+    j = current(plane_wave(chart, (1, 0, 0), nat), nat)
+    longer_box = flat_chart(shape=(16, 1, 1), lengths=(2 * TWO_PI, TWO_PI, TWO_PI))  # the same node counts
+    for other in (flat_chart(shape=(8, 1, 1)), longer_box):
+        with pytest.raises(GridMismatchError):
+            divergence(j, build_background(other))
+    # a current on another time axis of the same spatial grid is accepted
+    later = chart.with_time_axis(0.5, 1.0, 8)
+    j = current(plane_wave(later, (1, 0, 0), nat), nat)
+    assert np.array_equal(divergence(j, build_background(chart)), divergence(j, build_background(later)))
 
 
 # numpy elides temporaries of 256 KiB or more: 16384 complex samples
@@ -492,9 +511,9 @@ def test_quartic_is_the_same_at_every_size(nat, samples):
 
 def test_action_holds_about_one_history_of_temporaries(nat):
     # A (301, 256, 1, 1, 4) history: the complex density is a quarter of a
-    # history, and _integrate's weights and weighted copy take 0.375 more;
-    # the 32-row block's buffers and derivatives take the rest.  Measured
-    # peak 1.11 histories; the bound leaves 0.09.  The full-history body,
+    # history, and _integrate's weighted copies take as much again; the
+    # 32-row block's buffers and derivatives take the rest.  Measured peak
+    # 0.98 histories; the bound leaves 0.22.  The full-history body,
     # with its conjugate, two covariant derivatives and form products,
     # measured 4.54.
     chart = flat_chart(shape=(256, 1, 1), t_span=1.0, steps=300)

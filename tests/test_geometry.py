@@ -104,17 +104,22 @@ def test_zeroed_connection_is_detected():
 
 
 def test_residuals_read_every_node_of_full_grid_arrays():
-    # Arrays that are not build_background's broadcast views are reduced over
-    # the whole grid, so a defect off the x2 = x3 = 0 column shows.
+    # The residuals reduce whatever arrays they are given, so on full-grid
+    # arrays a defect off the x2 = x3 = 0 column shows.
     bg = build_background(static_diagonal_chart(0.0, 1.0, 2, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.01, profile="sin"))
     names = [f.name for f in dataclasses.fields(bg) if f.name != "chart"]
-    full = dataclasses.replace(bg, **{name: np.array(getattr(bg, name)) for name in names})
+
+    def full_grid(name):
+        values = getattr(bg, name)
+        return np.broadcast_to(values, bg.chart.spatial_shape + values.shape[3:]).copy()
+
+    full = dataclasses.replace(bg, **{name: full_grid(name) for name in names})
     assert concordance_residuals(full) == concordance_residuals(bg)
     assert torsion_residual(full) == torsion_residual(bg)
     assert frame_orthonormality_residual(full) == frame_orthonormality_residual(bg)
 
     def spoiled(name, slot):
-        values = np.array(getattr(bg, name))
+        values = full_grid(name)
         values[(3, 5, 6) + slot] += 1.0
         return dataclasses.replace(bg, **{name: values})
 
@@ -145,10 +150,9 @@ def test_3d_background_broadcasts_the_x1_column(profile, epsilon):
     )
     for name in (f.name for f in dataclasses.fields(grid) if f.name != "chart"):
         got, ref = getattr(grid, name), getattr(column, name)
-        assert got.shape == (16, 16, 16) + ref.shape[3:], name
+        assert got.shape == (16, 1, 1) + ref.shape[3:] == ref.shape, name
         assert not got.flags.writeable, name
-        expect = np.ascontiguousarray(np.broadcast_to(ref, got.shape))
-        assert np.ascontiguousarray(got).tobytes() == expect.tobytes(), name
+        assert got.tobytes() == ref.tobytes(), name
 
     gamma_slots, omega_slots = _x23_derivative_slots()
     assert np.all(grid.christoffel[..., gamma_slots] == 0.0)
@@ -160,7 +164,7 @@ def test_3d_background_broadcasts_the_x1_column(profile, epsilon):
     assert np.all(grid.spinor_connection[..., 2:, :, :] == 0.0)
     for q in (2, 3):
         assert grid.frame_terms[q] == (1.0, None), q
-    # the residuals read the column, so they match the 1D chart's exactly
+    # the residuals read the same column, so they match the 1D chart's exactly
     assert concordance_residuals(grid) == concordance_residuals(column)
     assert torsion_residual(grid) == torsion_residual(column)
     assert frame_orthonormality_residual(grid) == frame_orthonormality_residual(column)
@@ -208,11 +212,21 @@ def test_covariant_derivative_conjugation_commutes():
 
 def test_covariant_derivative_rejects_other_grids():
     bg = flat_background(shape=(16, 1, 1))
-    other = minkowski_chart(0.0, 1.0, 8, (TWO_PI, TWO_PI, TWO_PI), (8, 1, 1))
-    values = np.zeros(other.shape + (4,), dtype=complex)
-    psi = SpinorField(chart=other, values=values)
-    with pytest.raises(GridMismatchError):
-        covariant_derivative(psi, bg, 0)
+    others = (
+        minkowski_chart(0.0, 1.0, 8, (TWO_PI, TWO_PI, TWO_PI), (8, 1, 1)),
+        # the same node counts on a box twice as long
+        minkowski_chart(0.0, 1.0, 8, (2 * TWO_PI, TWO_PI, TWO_PI), (16, 1, 1)),
+        # the same nodes, bounded in x1
+        dataclasses.replace(bg.chart, periodic=(False, False, True, True)),
+    )
+    for other in others:
+        psi = SpinorField(chart=other, values=np.zeros(other.shape + (4,), dtype=complex))
+        with pytest.raises(GridMismatchError):
+            covariant_derivative(psi, bg, 1)
+    # a field on another time axis of the same spatial grid is accepted
+    later = bg.chart.with_time_axis(0.5, 2.0, 12)
+    psi = SpinorField(chart=later, values=np.ones(later.shape + (4,), dtype=complex))
+    assert np.all(covariant_derivative(psi, bg, 0).values == 0.0)
 
 
 def test_fields_must_match_their_chart():
@@ -330,6 +344,16 @@ def test_periodic_and_bounded_differentiate_sum_in_one_order():
         periodic = np.moveaxis(differentiate(v, axis=axis, spacing=0.3, periodic=True), axis, 0)
         bounded = np.moveaxis(differentiate(v, axis=axis, spacing=0.3, periodic=False), axis, 0)
         assert np.array_equal(periodic[2:-2], bounded[2:-2])
+        # each end row adds its one-sided terms in weight order, the far end
+        # subtracting them from 0
+        moved = np.moveaxis(v, axis, 0)
+        for i, weights in enumerate(((-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1))):
+            near, far = np.zeros_like(moved[0]), np.zeros_like(moved[0])
+            for k, w in enumerate(weights):
+                near += w * moved[k]
+                far -= w * moved[-1 - k]
+            assert np.array_equal(bounded[i], near / (12.0 * 0.3))
+            assert np.array_equal(bounded[-1 - i], far / (12.0 * 0.3))
     # a constant whose multiples by 7 are exact differentiates to exact zero;
     # any other constant c leaves the rounding of 7c, at most ulp(7c) / 12h
     const = np.full((4, 9, 2), 3.25 - 1.5j)

@@ -18,7 +18,10 @@ flat (8, 8, 1) grid for an x1 tilt, a tilt along the suppressed x3 and an
 off-node coordinate slice, where ``gram`` pairs each mode's
 ``sample_on_slice`` samples; and the ``operator_matrix`` arrays with the
 ``car_report`` residuals for 1 to 8 modes.  Array digests fold -0.0 into +0.0
-first, so they compare values the way ``np.array_equal`` does.  Scalars
+first, so they compare values the way ``np.array_equal`` does.  A background
+stores each array on its x1 column, shape (n1, 1, 1, ...); its digest is
+taken after broadcasting it to the chart's spatial grid, so the lines do not
+depend on the stored shape and compare with those of full-grid arrays.  Scalars
 (residuals, fluxes, ``action_value``) print as ``repr``, so a stated rounding
 change shows its size in the diff.  The probes
 use public API only.  Diff the output of two checkouts to confirm that a
@@ -74,7 +77,8 @@ def background_lines():
             bg = geometry.build_background(chart)
             label = "background-%s-%dx%dx%d" % ((profile,) + shape)
             for name in BACKGROUND_ARRAYS:
-                print(label, name, digest(getattr(bg, name)))
+                arr = getattr(bg, name)
+                print(label, name, digest(np.broadcast_to(arr, chart.spatial_shape + arr.shape[3:])))
             for name, value in geometry.concordance_residuals(bg).as_dict().items():
                 print(label, "concordance", name, repr(value))
             print(label, "torsion_residual", repr(geometry.torsion_residual(bg)))
