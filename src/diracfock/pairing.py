@@ -1,19 +1,24 @@
 """Spacelike slices, current flux and the hypersurface pairing.
 
 The pairing depends only on data on the slice: inner, gram and orthonormalize
-take the samples that sample_on_slice takes from a spinor history."""
+take the samples that sample_on_slice takes from a spinor history.  On each
+x1 column a slice reads the time rows of one cubic time plan: a time node, or
+four rows and their weights.  flux and sample_on_slice gather those rows from
+a stored history; _streamed_fluxes keeps only them, from rows of J taken block
+by block as a march yields the field, and gives the same flux bit for bit."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .constants import PhysicalConstants
-from .dynamics import _raw_pair_current
+from .dynamics import _RealityGuard, _block_rows, _raw_pair_current
 from .fields import CurrentField, GridMismatchError, SpinorField
 from .geometry import Background
-from .stencils import cubic_time_interpolate
+from .stencils import _apply_time_plan, _time_plan
 
 __all__ = [
     "NotSpacelikeError",
@@ -98,15 +103,74 @@ def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float]) ->
     return Slice(times=times, normal=normal, area_weights=weights)
 
 
-def _on_slice(values: np.ndarray, taxis: np.ndarray, s: Slice) -> np.ndarray:
-    """Grid samples (nt, n1, n2, n3, ...) on the slice, cubic in time between snapshots."""
+def _time_plans(taxis: np.ndarray, s: Slice) -> list[tuple[int, tuple[float, ...] | None]]:
+    """The time plan of each x1 column, or one plan for all columns when every
+    slice time rounds to the same value at 12 decimals."""
     tvals = np.unique(np.round(s.times, 12))
     if len(tvals) == 1:
-        return cubic_time_interpolate(values, taxis, float(tvals[0]))
-    out = np.empty(values.shape[1:], dtype=values.dtype)
-    for i, t in enumerate(s.times):
-        out[i] = cubic_time_interpolate(values[:, i], taxis, float(t))
+        return [_time_plan(taxis, float(tvals[0]))]
+    return [_time_plan(taxis, float(t)) for t in s.times]
+
+
+def _window_rows(plans: list, n1: int) -> np.ndarray:
+    """(4, n1) time rows of each column's window: the plan's four rows, or its node four times."""
+    rows = np.array([[first + r if w is not None else first for r in range(4)] for first, w in plans])
+    return np.ascontiguousarray(np.broadcast_to(rows.T, (4, n1)))
+
+
+def _sample(window: np.ndarray, plans: list) -> np.ndarray:
+    """Slice samples from a window (4, n1, n2, n3, ...) whose [r, i] is row r of column i's plan."""
+    if len(plans) == 1:
+        return _apply_time_plan(window, plans[0][1])
+    out = np.empty(window.shape[1:], dtype=window.dtype)
+    for i, (_, weights) in enumerate(plans):
+        out[i] = _apply_time_plan(window[:, i], weights)
     return out
+
+
+def _on_slice(values: np.ndarray, taxis: np.ndarray, s: Slice) -> np.ndarray:
+    """Grid samples (nt, n1, n2, n3, ...) on the slice, cubic in time between snapshots."""
+    if values.shape[0] != len(taxis):
+        raise ValueError("time axis length does not match the value array")
+    plans = _time_plans(taxis, s)
+    rows = _window_rows(plans, values.shape[1])
+    return _sample(values[rows, np.arange(values.shape[1])], plans)
+
+
+def _streamed_fluxes(rows: Iterable[np.ndarray], taxis: np.ndarray, slices: list[Slice], k: PhysicalConstants) -> list[float]:
+    """flux(current(history), s) for each slice, bit for bit, from the rows of the
+    history in time order, without the history.
+
+    J is taken once per block of rows (dynamics._block_rows); each slice keeps
+    only the window of J rows its time plan reads per x1 column.  The reality
+    guard folds each block's maxima and raises CurrentRealityError, with
+    current's message, after the last row.
+    """
+    plans = [_time_plans(taxis, s) for s in slices]
+    need = [_window_rows(p, len(s.times)) for p, s in zip(plans, slices)]
+    shape = slices[0].area_weights.shape + (4,)
+    windows = [np.empty((4,) + shape) for _ in slices]
+    block = np.empty((_block_rows(shape),) + shape, dtype=np.complex128)
+    guard = _RealityGuard()
+    start = m = 0  # time row of block[0], rows held
+
+    def fold() -> None:
+        b = block[:m]
+        j = guard.real(_raw_pair_current(b, b, k))
+        for win, want in zip(windows, need):
+            r, i = np.nonzero((want >= start) & (want < start + m))
+            win[r, i] = j[want[r, i] - start, i]
+
+    for row in rows:
+        block[m] = row
+        m += 1
+        if m == len(block):
+            fold()
+            start, m = start + m, 0
+    if m:
+        fold()
+    guard.check()
+    return [float(_slice_integral(_sample(win, p), s)) for win, p, s in zip(windows, plans, slices)]
 
 
 def sample_on_slice(psi: SpinorField, s: Slice) -> np.ndarray:

@@ -57,32 +57,51 @@ def cubic_time_interpolate(values: np.ndarray, taxis: np.ndarray, t: float) -> n
     ``values`` has shape (nt, ...); snapshots are at the uniformly spaced
     ``taxis`` nodes.  ``t`` must lie inside the sampled range.
     """
-    nt = len(taxis)
-    if values.shape[0] != nt:
+    if values.shape[0] != len(taxis):
         raise ValueError("time axis length does not match the value array")
+    first, weights = _time_plan(taxis, t)
+    return _apply_time_plan(values[first : first + 4], weights)
+
+
+def _time_plan(taxis: np.ndarray, t: float) -> tuple[int, tuple[float, ...] | None]:
+    """The rows cubic interpolation at ``t`` reads: (node, None) at a time node,
+    else (first, weights) of the four rows first..first+3, clamped to the axis."""
+    nt = len(taxis)
     t0, t1 = float(taxis[0]), float(taxis[-1])
     tol = 1e-9 * max(1.0, abs(t0), abs(t1))
     if t < t0 - tol or t > t1 + tol:
         raise ValueError(f"time {t} outside the sampled range [{t0}, {t1}]")
     if nt == 1:
-        return values[0].copy()
+        return 0, None
 
     dt = float(taxis[1] - taxis[0])
     pos = (t - t0) / dt
     nearest = int(round(pos))
     if abs(pos - nearest) < 1e-12 and 0 <= nearest < nt:
-        return values[nearest].copy()
+        return nearest, None
     if nt < 4:
         raise ValueError("need at least 4 snapshots for cubic interpolation")
 
     first = int(np.floor(pos)) - 1
     first = min(max(first, 0), nt - 4)
     ts = taxis[first : first + 4]
-    out = np.zeros_like(values[0])
+    weights = []
     for j in range(4):
         w = 1.0
         for m in range(4):
             if m != j:
                 w *= (t - ts[m]) / (ts[j] - ts[m])
-        out = out + w * values[first + j]
+        weights.append(w)
+    return first, tuple(weights)
+
+
+def _apply_time_plan(rows: np.ndarray, weights: tuple[float, ...] | None) -> np.ndarray:
+    """The sample from a plan's rows: a copy of rows[0] at a time node, else
+    sum_j weights[j] rows[j], accumulated from zeros in order j = 0..3."""
+    if weights is None:
+        return rows[0].copy()
+    out = np.zeros_like(rows[0])
+    tmp = np.empty_like(out)
+    for w, row in zip(weights, rows):
+        out += np.multiply(w, row, out=tmp)
     return out

@@ -49,11 +49,10 @@ from .pairing import (
     RankDeficientModeError,
     _slice_integral,
     coordinate_slice,
-    flux,
+    _streamed_fluxes,
     gram,
     inner,
     orthonormalize,
-    sample_on_slice,
     tilted_slice,
 )
 from .report import (
@@ -198,6 +197,16 @@ def _flux_series(bg, norms, j, dj) -> list[tuple[int, float, float, float, float
     return rows
 
 
+def _base_axis_rows(initial: np.ndarray, bg, k: PhysicalConstants, growth_abort: float, every: int) -> np.ndarray:
+    """The states of a run with ``every`` steps per base step, kept on the base
+    time nodes only: evolve(...).values[::every] without the other rows."""
+    rows = np.empty(((len(bg.chart.axes[0]) - 1) // every + 1,) + initial.shape, dtype=np.complex128)
+    for n, v in enumerate(_march(initial, bg, k, growth_abort)):
+        if n % every == 0:
+            rows[n // every] = v
+    return rows
+
+
 def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results: list[CheckResult] = []
     artifacts: dict[str, str] = {}
@@ -219,12 +228,10 @@ def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
 
         # quarter-step reference on the same spatial grid and initial data:
         # the semi-discrete space error cancels, leaving pure time-integrator error
-        runs = {1: out}
-        for mult in (2, 4):
-            runs[mult] = evolve(exact.values[0], backgrounds[mult], k, growth_abort=cfg.growth_abort)
-        ref = runs[4].values[::4]
-        e1 = float(np.max(np.abs(runs[1].values - ref)))
-        e2 = float(np.max(np.abs(runs[2].values[::2] - ref)))
+        half = _base_axis_rows(exact.values[0], backgrounds[2], k, cfg.growth_abort, 2)
+        ref = _base_axis_rows(exact.values[0], backgrounds[4], k, cfg.growth_abort, 4)
+        e1 = float(np.max(np.abs(out.values - ref)))
+        e2 = float(np.max(np.abs(half - ref)))
         results.append(
             check_in(s, label + "_halving_ratio", e1 / e2, cfg.tol("ratio_low"), cfg.tol("ratio_high"))
         )
@@ -324,31 +331,33 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
 
     center, width = _packet_center_width(cfg)
     init = gaussian_packet(chart, k, center=center, width=width, carrier_index=cfg.packet_carrier)
-    # One march steps the packet and the modes; only the packet's history is
-    # kept, and on sT (the last time node) each mode is its last state.
-    first_row = chart.with_time_axis(t0, chart.dt, 1)
-    at0 = [plane_wave(first_row, m.k_index, k, spin=m.spin, branch=m.branch).values[0] for m in cfg.modes[:4]]
-    history = np.empty((len(chart.axes[0]),) + init.shape, dtype=np.complex128)
-    for n, v in enumerate(_march(np.stack([init] + at0), bg, k, cfg.growth_abort)):
-        history[n] = v[0]
-    out = SpinorField(chart=chart, values=history)
-    atT = list(v[1:])
-    j = current(out, k)
-
     s0 = coordinate_slice(bg, t0)
     sT = coordinate_slice(bg, t1)
-    f0 = flux(j, s0)
-    results.append(check_at_most(s, "flux_normalization", abs(f0 - 1.0), cfg.tol("flux_normalization")))
-    fT = flux(j, sT)
-    results.append(check_at_most(s, "slice_independence_time", abs(fT - f0), cfg.tol("slice_independence")))
     tmid = 0.5 * (t0 + t1)
-    ftilt = flux(j, tilted_slice(bg, tmid, cfg.tilt))
+    # off-node time exercises the cubic interpolation path
+    toff = tmid + 0.37 * (t1 - t0) / cfg.steps
+    slices = [s0, sT, tilted_slice(bg, tmid, cfg.tilt), coordinate_slice(bg, toff)]
+
+    # One march steps the packet and the modes.  The packet's rows stream
+    # into the fluxes, which keep blocks of J rows, not the history; on sT
+    # (the last time node) each mode is its last state.
+    first_row = chart.with_time_axis(t0, chart.dt, 1)
+    at0 = [plane_wave(first_row, m.k_index, k, spin=m.spin, branch=m.branch).values[0] for m in cfg.modes[:4]]
+    last = None
+
+    def packet_rows():
+        nonlocal last
+        for last in _march(np.stack([init] + at0), bg, k, cfg.growth_abort):
+            yield last[0]
+
+    f0, fT, ftilt, fmid = _streamed_fluxes(packet_rows(), chart.axes[0], slices, k)
+    atT = list(last[1:])
+
+    results.append(check_at_most(s, "flux_normalization", abs(f0 - 1.0), cfg.tol("flux_normalization")))
+    results.append(check_at_most(s, "slice_independence_time", abs(fT - f0), cfg.tol("slice_independence")))
     results.append(
         check_at_most(s, "slice_independence_tilted", abs(ftilt - f0), cfg.tol("slice_independence"))
     )
-    # off-node time exercises the cubic interpolation path
-    toff = tmid + 0.37 * (t1 - t0) / cfg.steps
-    fmid = flux(j, coordinate_slice(bg, toff))
     results.append(
         check_at_most(s, "slice_independence_interpolated", abs(fmid - f0), cfg.tol("slice_independence"))
     )
@@ -362,7 +371,7 @@ def suite_pairing(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results.append(
         check_at_most(s, "hermiticity", float(np.max(np.abs(g0 - g0.conj().T))), cfg.tol("hermiticity"))
     )
-    packet = sample_on_slice(out, s0)
+    packet = init  # the history's row 0, which is its sample on s0
     self_inners = [float(np.real(g0[a, a])) for a in range(len(at0))]
     self_inners.append(float(np.real(inner(packet, packet, s0, k))))
     results.append(check_at_least(s, "positivity", min(self_inners), 0.0))

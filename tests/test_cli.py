@@ -1,12 +1,17 @@
 """Command line behavior: exit codes, outputs, and determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diracfock
 from diracfock import (
@@ -316,3 +321,56 @@ def test_module_entry_point_prints_one_config_error_line(tmp_path):
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("config error:")
+
+
+MODES = st.tuples(st.sampled_from([1, 0, -2, 2]), st.integers(0, 1), st.sampled_from(["+1", "-1"]))
+
+
+@st.composite
+def tiny_runs(draw):
+    """A pairing or evolve config on a few nodes and steps: valid, rejected at
+    parse time, unstable or failing a check."""
+    suite = draw(st.sampled_from(["pairing", "evolve"]))
+    n1 = draw(st.sampled_from([8, 16, 8, 1, 4]))
+    n2 = draw(st.sampled_from([1, 1, 1, 5, 4]))
+    modes = draw(st.lists(MODES, min_size=1, max_size=5, unique=draw(st.booleans())))
+    lines = [
+        "[scenario]",
+        "suites = %s" % suite,
+        "units = %s" % draw(st.sampled_from(["natural", "natural", "cgs"])),
+        "mass = %r" % draw(st.sampled_from([1.0, 0.5, 3.0])),
+        "growth_abort = %r" % draw(st.sampled_from([10.0, 1.5, 1.0001])),
+        "[chart]",
+        "t_span = %r" % draw(st.sampled_from([0.05, 0.5, 1.0, 4.0, 40.0])),
+        "steps = %d" % draw(st.sampled_from([6, 12, 4, 8, 3])),
+        "lengths = %r 6.283185307179586 %r"
+        % (draw(st.sampled_from([2.0, 6.283185307179586, 16.0])), draw(st.sampled_from([1.0, 6.3]))),
+        "shape = %d %d 1" % (n1, n2),
+        "[modes]",
+    ] + ["m%d = %d 0 0 %d %s" % (i + 1, kx, spin, branch) for i, (kx, spin, branch) in enumerate(modes)]
+    if suite == "pairing":
+        lines += [
+            "[pairing]",
+            "carrier = %d" % draw(st.integers(0, 3)),
+            "tilt = %r 0 %r"
+            % (draw(st.sampled_from([0.0, 0.05, 0.15, 0.9])), draw(st.sampled_from([0.0, 0.0, 0.3]))),
+        ]
+        if draw(st.booleans()):
+            lines.append("width = %r" % draw(st.sampled_from([1e-3, 0.3, 1.0, 50.0])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(tiny_runs())
+def test_tiny_pairing_and_evolve_runs_end_in_a_documented_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tiny.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1

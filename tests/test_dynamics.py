@@ -304,11 +304,13 @@ def test_the_reality_guard_reads_a_computed_imaginary_part(nat, monkeypatch):
     assert timelike_report(values, nat).reality_residual > 0.0
 
 
-def test_current_holds_one_and_a_half_histories_of_temporaries(nat):
-    # A (301, 256, 1, 1, 4) history: the complex current is one history and
-    # its |J| or real copy half of one; the block scratch (about 1 MB) is
-    # freed before them.  Measured peak 1.50 histories; the bound leaves 0.1.
-    # The dense einsum with its np.conj copy of the history measured 2.00.
+def test_current_holds_the_real_current_and_one_block(nat):
+    # A (301, 256, 1, 1, 4) history: the real current is half a history, and
+    # one block of 16 time rows, its complex J, |J| and the kernel's scratch,
+    # about 0.25.  Measured peak 0.75 histories; the bound leaves 0.1.
+    # Taking the complex current of the whole history, with its |J| or real
+    # copy, measured 1.50, and the dense einsum with its np.conj copy of the
+    # history 2.00.
     chart = flat_chart(shape=(256, 1, 1), t_span=1.0, steps=300)
     rng = np.random.default_rng(6)
     shape = chart.shape + (4,)
@@ -320,8 +322,8 @@ def test_current_holds_one_and_a_half_histories_of_temporaries(nat):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert j.values.shape == shape
-    assert peak < 1.6 * history
+    assert np.array_equal(j.values, _raw_pair_current(psi.values, psi.values, nat).real)
+    assert peak < 0.85 * history
 
 
 def test_divergence_of_single_wave_vanishes(nat):

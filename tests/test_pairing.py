@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diracfock import (
+    CurrentRealityError,
     GridMismatchError,
     NotSpacelikeError,
     RankDeficientModeError,
@@ -26,7 +27,10 @@ from diracfock import (
     static_diagonal_chart,
     tilted_slice,
 )
+from diracfock import dynamics
+from diracfock.pairing import _streamed_fluxes
 from diracfock.scenarios import BUNDLED
+from diracfock.spin_algebra import _PAIRING_ROWS, _Rows
 from diracfock.suites import suite_pairing
 
 TWO_PI = 2.0 * np.pi
@@ -217,14 +221,14 @@ def test_not_spacelike_rejections(nat):
 
 def test_suite_pairing_keeps_one_history_besides_the_packet(nat):
     # flat_pairing at 256 nodes and 300 steps, where every row still passes.
-    # The modes step in one march with the packet and keep no history.  The
-    # peak, 2.71 histories, is set inside `current`: the packet history, the
-    # complex current and its |J| or real copy, plus the modes' first and
-    # last states.  The bound of 3 leaves 0.29 histories of margin.  The
-    # dense einsum current, with its np.conj copy of the history, measured
-    # 3.21, evolving one mode history at a time after it 3.15, a current that
-    # kept its complex array alive 3.45, and keeping all four mode histories
-    # and doing Gram-Schmidt on them 17.4.
+    # No history is kept: the packet's rows stream into blocks of J rows and
+    # the four slices keep 4-row windows of them, and the modes step in the
+    # same march.  The peak, the march's RK4 stages of five fields plus one
+    # block, measured 0.85 histories with the test run alone and 0.60 after
+    # an earlier run had loaded numpy's lazily imported modules; the bound
+    # of 1 leaves 0.15.  Storing the packet history and taking `current` of
+    # it measured 2.71, the dense einsum current 3.21, and keeping all four
+    # mode histories and doing Gram-Schmidt on them 17.4.
     text = BUNDLED["flat_pairing"].replace("steps = 1200", "steps = 300").replace("shape = 512 1 1", "shape = 256 1 1")
     cfg = parse_config(text)
     assert (cfg.steps, cfg.shape) == (300, (256, 1, 1))
@@ -236,4 +240,50 @@ def test_suite_pairing_keeps_one_history_besides_the_packet(nat):
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in results)
-    assert peak < 3.0 * history
+    assert peak < 1.0 * history
+
+
+def _stream_setup(shape):
+    """A random history on a 9-node time axis, t in [0, 2], and four slices.
+    The tilted slice spans the axis at half a time step per x1 column: the
+    even columns sit on time nodes, and the first and last odd columns read
+    windows clamped to the ends of the axis."""
+    chart = minkowski_chart(0.0, 2.0, 8, (8.0, TWO_PI, TWO_PI), shape)
+    bg = build_background(chart)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(chart.shape + (4,)) + 1j * rng.standard_normal(chart.shape + (4,))
+    tilted = tilted_slice(bg, 1.0, (0.25, 0.0, 0.0))
+    slices = [coordinate_slice(bg, 0.0), coordinate_slice(bg, 2.0), coordinate_slice(bg, 1.0 + 0.37 * chart.dt), tilted]
+    return SpinorField(chart, values), slices
+
+
+@pytest.mark.parametrize("shape", [(16, 1, 1), (16, 32, 1), (16, 16, 16)])
+def test_streamed_fluxes_equal_the_history_fluxes_bit_for_bit(nat, shape):
+    # 256, 8 and 1 time rows per block of J: one block, a short last block,
+    # and one row per block
+    psi, slices = _stream_setup(shape)
+    taxis, dt = psi.taxis, psi.chart.dt
+    times = slices[3].times
+    assert np.array_equal(times[::2], taxis[:8]) and times[1] < taxis[0] + dt and times[-1] > taxis[-1] - dt
+    j = current(psi, nat)
+    want = [flux(j, s) for s in slices]
+    assert _streamed_fluxes(iter(psi.values), taxis, slices, nat) == want
+
+
+def test_the_stream_raises_the_reality_error_of_current(nat, monkeypatch):
+    # the patched kernel of test_the_reality_guard_reads_a_computed_imaginary_part,
+    # over 1-row blocks: the stream raises from the maxima over every block
+    rows = list(_PAIRING_ROWS)
+    phase = rows[2].phase.copy()
+    phase[0] = np.conj(phase[0])
+    rows[2] = _Rows(rows[2].perm, phase)
+    monkeypatch.setattr(dynamics, "_PAIRING_ROWS", tuple(rows))
+    psi, slices = _stream_setup((16, 16, 16))
+    j = dynamics._raw_pair_current(psi.values, psi.values, nat)
+    imag = float(np.max(np.abs(j.imag)))
+    assert imag > float(np.max(np.abs(j[-1].imag)))  # the last row does not hold the maximum
+    message = f"current reality violated: max imaginary part {imag:.3e}"
+    for run in (lambda: current(psi, nat), lambda: _streamed_fluxes(iter(psi.values), psi.taxis, slices, nat)):
+        with pytest.raises(CurrentRealityError) as info:
+            run()
+        assert str(info.value) == message
