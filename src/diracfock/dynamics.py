@@ -15,7 +15,7 @@ from .constants import PhysicalConstants
 from .fields import CurrentField, SpinorField
 from .geometry import Background, MetricChart, _check_grid, _nabla, covariant_derivative
 from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, FRAME, _apply, _Rows
-from .stencils import differentiate
+from .stencils import _central, differentiate
 
 __all__ = [
     "CurrentRealityError",
@@ -54,8 +54,15 @@ class EvolutionUnstableError(RuntimeError):
 
 def grid_norm(values: np.ndarray, chart: MetricChart) -> float:
     """L2 norm of spatial spinor samples with cell-volume weighting."""
-    dens = np.sum(np.abs(values) ** 2, axis=-1)
-    return float(np.sqrt(np.sum(dens) * chart.cell_volume))
+    return _norms(np.moveaxis(np.asarray(values)[None], -1, 0), chart.cell_volume)[0]
+
+
+def _norms(v: np.ndarray, cell_volume: float) -> list[float]:
+    """grid_norm of each member of a planar batch v (4, B, ...): |v_a|^2 summed over
+    a = 0..3, then over the member; inf past the float range, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = ((np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2) + np.abs(v[2]) ** 2) + np.abs(v[3]) ** 2
+        return np.sqrt(np.sum(dens.reshape(len(dens), -1), axis=1) * cell_volume).tolist()
 
 
 def dirac_residual(psi: SpinorField, bg: Background, k: PhysicalConstants) -> SpinorField:
@@ -81,55 +88,109 @@ def evolve(
     run aborts with EvolutionUnstableError when the L2 norm grows past
     ``growth_abort`` times its initial value or stops being finite.
     """
-    chart = bg.chart
     initial = np.asarray(initial, dtype=np.complex128)
-    if initial.shape != chart.spatial_shape + (4,):
+    if initial.shape != bg.chart.spatial_shape + (4,):
         raise ValueError("initial data does not match the chart's spatial grid")
-    snapshots = np.empty((len(chart.axes[0]),) + initial.shape, dtype=np.complex128)
+    return SpinorField(chart=bg.chart, values=_history(initial, bg, k, growth_abort))
+
+
+def _history(initial: np.ndarray, bg: Background, k: PhysicalConstants, growth_abort: float, every: int = 1):
+    """Every ``every``-th state of _march: evolve(...).values[::every] without the other rows."""
+    rows = np.empty(((len(bg.chart.axes[0]) - 1) // every + 1,) + initial.shape, dtype=np.complex128)
     for n, v in enumerate(_march(initial, bg, k, growth_abort)):
-        snapshots[n] = v
-    return SpinorField(chart=chart, values=snapshots)
+        if n % every == 0:
+            rows[n // every] = v
+    return rows
+
+
+def _operator(bg: Background, k: PhysicalConstants, shape: tuple[int, ...], stages: int):
+    """rhs(v, out): u_0 d_0 psi = gamma^0 (-i mu psi - sum_spatial gamma^q nabla_q psi) - A_0 psi
+    over u_0 into ``out``, for planar states of ``shape`` (4, B, n1, n2, n3), and ``stages``
+    state buffers for the caller.  Each term picks planes of v along gamma^0 or the
+    precomposed gamma^0 gamma^q, times a phase +-1 or +-i; the bits are those of the same
+    sums on (..., 4) samples, as 1 / (12 h) on a real view is numpy's complex divide.
+
+    Every buffer, the derivative, a scratch and one halo shared by the axes included,
+    is a view of one allocation, which is freed whole: separate buffers freed in the
+    heap's middle stay resident."""
+    g0, chart, size = _GAMMA_ROWS[0], bg.chart, int(np.prod(shape))
+    mass = list(zip(g0.perm.tolist(), ((-1j * k.compton_wavenumber) * g0.phase).tolist()))
+    halo_size = max([size // n * (n + 4) for n in shape[2:] if n > 1], default=0)
+    block = np.empty((stages + 2) * size + halo_size, dtype=np.complex128)
+    bufs = [block[i * size : (i + 1) * size].reshape(shape) for i in range(stages + 2)]
+    d, tmp, pool = bufs[stages], bufs[stages + 1], block[(stages + 2) * size :]
+    dr = d.view(np.float64)
+    u0, a0 = bg.frame_terms[0]
+    terms = []  # per spatial q: q, u_q, A_q, gamma^0 gamma^q, and a periodic d_q's halo and stencil views
+    for q, (u, a) in list(bg.frame_terms.items())[1:]:
+        rows, n, halo = g0 @ _GAMMA_ROWS[q], shape[q + 1], None
+        if u is not None and chart.periodic[q]:
+            buf = pool[: size // n * (n + 4)].reshape(shape[: q + 1] + (n + 4,) + shape[q + 2 :])
+            views = [np.moveaxis(b, q + 1, 0) for b in (buf, d, tmp)]
+            halo = (np.arange(-2, n + 2), buf, views, 1.0 / (12.0 * chart.spacing[q]))
+        terms.append((q, u, a, rows.perm.tolist(), rows.phase.tolist(), halo))
+
+    def rhs(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for c, (p, m) in enumerate(mass):
+            np.multiply(v[p], m, out=out[c])
+        for q, u, a, perm, phase, halo in terms:
+            if halo is not None:
+                wrap, buf, views, scale = halo
+                np.take(v, wrap, axis=q + 1, out=buf, mode="wrap")
+                _central(*views)
+                np.multiply(dr, scale, out=dr)
+            elif u is not None:  # one-sided end rows on a non-periodic axis
+                np.copyto(d, differentiate(v, q + 1, chart.spacing[q], False))
+            if isinstance(u, np.ndarray):
+                np.multiply(d, u, out=d)
+            if a is not None:
+                np.einsum("xyzab,btxyz->atxyz", a, v, out=d if u is None else tmp)
+                if u is not None:
+                    np.add(d, tmp, out=d)
+            for c in range(4):
+                out[c] -= np.multiply(d[perm[c]], phase[c], out=tmp[0])
+        if a0 is not None:
+            out -= np.einsum("xyzab,btxyz->atxyz", a0, v, out=tmp)
+        if isinstance(u0, np.ndarray):
+            np.divide(out, u0, out=out)
+        return out
+
+    return rhs, bufs[:stages]
 
 
 def _march(initial: np.ndarray, bg: Background, k: PhysicalConstants, growth_abort: float):
     """The one RK4 loop, over one field (n1, n2, n3, 4) or a batch (B, n1, n2, n3, 4):
-    yields the initial data, then each step.  Aborts at the first step where a member's
-    norm passes growth_abort times its own initial norm (1 for zero data) or stops
-    being finite, naming the lowest-index such member."""
-    chart = bg.chart
-    taxis = chart.axes[0]
-    dt = chart.dt
-    mu = k.compton_wavenumber
-    u0, a0 = bg.frame_terms[0]
-    spatial = [q for q in bg.frame_terms if q > 0]
+    yields a fresh copy of the initial data, then of each step.  Aborts at the first
+    step where a member's norm passes growth_abort times its own initial norm (1 for
+    zero data) or stops being finite, naming the lowest-index such member.  The state
+    v, the stage input x, the stage kq and the stage sum acc of ((k1 + 2 k2) + 2 k3) + k4
+    are planar buffers (4, B, n1, n2, n3) of the operator's one allocation."""
+    taxis, dt, cell = bg.chart.axes[0], bg.chart.dt, bg.chart.cell_volume
+    batch = initial.reshape((-1,) + initial.shape[-4:])
+    rhs, (v, x, kq, acc) = _operator(bg, k, (4,) + batch.shape[:-1], 4)
+    v[...] = np.moveaxis(batch, -1, 0)
+    members = np.moveaxis(v, 0, -1)
 
-    # gamma^0 gamma^0 = 1 turns sum_q gamma^q nabla_q psi = -i mu psi into
-    # u_0 d_0 psi = gamma^0 (-i mu psi - sum_spatial gamma^q nabla_q psi) - A_0 psi.
-    # The batch axis sits where _nabla reads time.
-    def rhs(v: np.ndarray) -> np.ndarray:
-        acc = (-1j * mu) * v
-        for q in spatial:
-            acc = acc - _apply(_GAMMA_ROWS[q], _nabla(v, bg, q, chart))
-        out = _apply(_GAMMA_ROWS[0], acc)
-        if a0 is not None:
-            out = out - np.einsum("xyzab,txyzb->txyza", a0, v)
-        return out if isinstance(u0, float) else out / u0[..., None]
+    def state() -> tuple[np.ndarray, list[float]]:
+        return members.copy().reshape(initial.shape), _norms(v, cell)
 
-    v = initial.reshape((-1,) + initial.shape[-4:])
-    norm0 = [grid_norm(m, chart) or 1.0 for m in v]
-    yield initial
+    out, norms = state()
+    norm0 = [m or 1.0 for m in norms]
+    yield out
     for n in range(len(taxis) - 1):
-        k1 = rhs(v)
-        k2 = rhs(v + (0.5 * dt) * k1)
-        k3 = rhs(v + (0.5 * dt) * k2)
-        k4 = rhs(v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for m, m0 in zip(v, norm0):
-            nrm = grid_norm(m, chart)
+        np.add(v, np.multiply(rhs(v, acc), 0.5 * dt, out=x), out=x)
+        np.add(v, np.multiply(rhs(x, kq), 0.5 * dt, out=x), out=x)
+        acc += np.multiply(kq, 2.0, out=kq)
+        np.add(v, np.multiply(rhs(x, kq), dt, out=x), out=x)
+        acc += np.multiply(kq, 2.0, out=kq)
+        acc += rhs(x, kq)
+        v += np.multiply(acc, dt / 6.0, out=acc)
+        out, norms = state()
+        for nrm, m0 in zip(norms, norm0):
             if not np.isfinite(nrm) or nrm > growth_abort * m0:
                 ratio = nrm / m0 if np.isfinite(nrm) else float("inf")
                 raise EvolutionUnstableError(step=n + 1, time=float(taxis[n + 1]), ratio=ratio)
-        yield v.reshape(initial.shape)
+        yield out
 
 
 # Samples per block of the current's contraction: one real scratch row is 32 KiB.

@@ -371,8 +371,8 @@ def _check_grid(chart: MetricChart, bg: Background) -> None:
 
 
 def _nabla(v: np.ndarray, bg: Background, q: int, chart: MetricChart) -> np.ndarray:
-    """Y_q^q d_q v + A_q v on samples v[t, x1, x2, x3, a] of a field on chart, or a batch
-    in place of t for q > 0; q in bg.frame_terms, the chart checked by _check_grid."""
+    """Y_q^q d_q v + A_q v on samples v[t, x1, x2, x3, a] of a field on chart;
+    q in bg.frame_terms, the chart checked by _check_grid."""
     u, a = bg.frame_terms[q]
     out = 0.0
     if u is not None:

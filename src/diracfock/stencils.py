@@ -32,23 +32,30 @@ def differentiate(values: np.ndarray, axis: int, spacing: float, periodic: bool)
 
     moved = np.moveaxis(values, axis, 0)
     if periodic:
-        # Central weights (1, -8, 0, 8, -1) on every node, through a 2-node wraparound halo.
+        # Central weights on every node, through a 2-node wraparound halo.
         src = np.concatenate((moved[n - 2 :], moved, moved[:2]))
-        out = src[:n] - 8 * src[1 : n + 1]
-        out += 8 * src[3 : n + 3]
-        out -= src[4:]
+        out = _central(src, np.empty_like(src[:n]), np.empty_like(src[:n]))
     else:
         # The same on the interior rows; the far end rows mirror the near ones
         # with negated weights, which is exactly 0 - w0 x0 - w1 x1 - ...
         out = np.empty_like(moved)
-        rows = out[2 : n - 2]
-        np.subtract(moved[: n - 4], 8 * moved[1 : n - 3], out=rows)
-        rows += 8 * moved[3 : n - 1]
-        rows -= moved[4:]
+        _central(moved, out[2 : n - 2], np.empty_like(moved[4:]))
         for i, weights in enumerate((_EDGE0, _EDGE1)):
             out[i] = sum(w * moved[k] for k, w in enumerate(weights))
             out[n - 1 - i] = sum(-w * moved[n - 1 - k] for k, w in enumerate(weights))
     return np.moveaxis(out, 0, axis) / (12.0 * spacing)
+
+
+def _central(src: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The central weights (1, -8, 0, 8, -1) along axis 0 into ``out``, as
+    ((x[i-2] - 8 x[i-1]) + 8 x[i+1]) - x[i+2], from ``src`` holding out's rows
+    behind a 2-row halo on each side; ``tmp`` is scratch of out's shape.  The
+    caller divides by 12 h."""
+    n = len(out)
+    np.subtract(src[:n], np.multiply(src[1 : n + 1], 8, out=tmp), out=out)
+    out += np.multiply(src[3 : n + 3], 8, out=tmp)
+    out -= src[4 : n + 4]
+    return out
 
 
 def cubic_time_interpolate(values: np.ndarray, taxis: np.ndarray, t: float) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 from .config import ScenarioConfig, _packet_center_width
 from .constants import PhysicalConstants
 from .dynamics import (
+    _history,
     _integrate,
     _march,
     _raw_pair_current,
@@ -197,16 +198,6 @@ def _flux_series(bg, norms, j, dj) -> list[tuple[int, float, float, float, float
     return rows
 
 
-def _base_axis_rows(initial: np.ndarray, bg, k: PhysicalConstants, growth_abort: float, every: int) -> np.ndarray:
-    """The states of a run with ``every`` steps per base step, kept on the base
-    time nodes only: evolve(...).values[::every] without the other rows."""
-    rows = np.empty(((len(bg.chart.axes[0]) - 1) // every + 1,) + initial.shape, dtype=np.complex128)
-    for n, v in enumerate(_march(initial, bg, k, growth_abort)):
-        if n % every == 0:
-            rows[n // every] = v
-    return rows
-
-
 def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results: list[CheckResult] = []
     artifacts: dict[str, str] = {}
@@ -228,8 +219,8 @@ def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
 
         # quarter-step reference on the same spatial grid and initial data:
         # the semi-discrete space error cancels, leaving pure time-integrator error
-        half = _base_axis_rows(exact.values[0], backgrounds[2], k, cfg.growth_abort, 2)
-        ref = _base_axis_rows(exact.values[0], backgrounds[4], k, cfg.growth_abort, 4)
+        half = _history(exact.values[0], backgrounds[2], k, cfg.growth_abort, 2)
+        ref = _history(exact.values[0], backgrounds[4], k, cfg.growth_abort, 4)
         e1 = float(np.max(np.abs(out.values - ref)))
         e2 = float(np.max(np.abs(half - ref)))
         results.append(

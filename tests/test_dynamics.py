@@ -37,7 +37,8 @@ from diracfock import (
 )
 from diracfock import dynamics
 from diracfock.dynamics import _march, _raw_pair_current
-from diracfock.spin_algebra import _DIRAC_FORM_ROWS, _PAIRING_ROWS, _Rows
+from diracfock.spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, _Rows, _apply
+from diracfock.stencils import differentiate
 
 TWO_PI = 2.0 * np.pi
 
@@ -179,6 +180,86 @@ def test_march_steps_a_batch_exactly_like_single_evolves(name, nat):
             assert np.array_equal(state[b], history[n])
     with pytest.raises(ValueError, match="spatial grid"):
         evolve(batch, bg, nat)
+
+
+def reference_march(initial, bg, k):
+    """The states of RK4 on the (..., 4) samples, the oracle of _march's planar
+    kernel: the right-hand side is gamma^0 (-i mu psi - sum_q gamma^q nabla_q psi)
+    - A_0 psi over u_0, applied with _apply and einsum, and a periodic axis
+    takes the central stencil from np.roll, ((a - 8 b) + 8 c) - d over 12 h.
+    A non-periodic axis uses the library's one-sided stencil."""
+    chart = bg.chart
+    dt, mu = chart.dt, k.compton_wavenumber
+    u0, a0 = bg.frame_terms[0]
+
+    def nabla(v, q):  # the batch axis sits where time does, so axis q is x_q
+        u, a = bg.frame_terms[q]
+        out = 0.0
+        if u is not None:
+            if chart.periodic[q]:
+                r = lambda shift: np.roll(v, shift, axis=q)
+                out = (r(2) - 8 * r(1) + 8 * r(-1) - r(-2)) / (12.0 * chart.spacing[q])
+            else:
+                out = differentiate(v, q, chart.spacing[q], False)
+            out = out if isinstance(u, float) else u[..., None] * out
+        if a is not None:
+            out = out + np.einsum("xyzab,txyzb->txyza", a, v)
+        return out
+
+    def rhs(v):
+        acc = (-1j * mu) * v
+        for q in bg.frame_terms:
+            if q > 0:
+                acc = acc - _apply(_GAMMA_ROWS[q], nabla(v, q))
+        out = _apply(_GAMMA_ROWS[0], acc)
+        if a0 is not None:
+            out = out - np.einsum("xyzab,txyzb->txyza", a0, v)
+        return out if isinstance(u0, float) else out / u0[..., None]
+
+    v = initial.reshape((-1,) + initial.shape[-4:])
+    states = [v]
+    for _ in range(len(chart.axes[0]) - 1):
+        k1 = rhs(v)
+        k2 = rhs(v + (0.5 * dt) * k1)
+        k3 = rhs(v + (0.5 * dt) * k2)
+        k4 = rhs(v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(v)
+    return [state.reshape(initial.shape) for state in states]
+
+
+ORACLE_CHARTS = {  # name -> (chart, batch size or None for one field)
+    "flat_1d_batch": (flat_chart(shape=(64, 1, 1), t_span=0.5, steps=20), 3),
+    "flat_8cubed": (flat_chart(shape=(8, 8, 8), t_span=0.5, steps=20), None),
+    "curved_sin_1d": (static_diagonal_chart(0.0, 0.5, 20, (TWO_PI,) * 3, (32, 1, 1), epsilon=0.01), 2),
+    "curved_sin_8cubed": (static_diagonal_chart(0.0, 0.5, 20, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.01), None),
+    "curved_linear_1d": (  # a shorter span: its one-sided ends grow random data fast
+        static_diagonal_chart(0.0, 0.1, 20, (TWO_PI,) * 3, (32, 1, 1), epsilon=0.05, profile="linear"), None
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CHARTS))
+def test_march_equals_the_reference_rk4_bit_for_bit(name, nat):
+    chart, batch = ORACLE_CHARTS[name]
+    bg = build_background(chart)
+    u0, a0 = bg.frame_terms[0]
+    curved = name.startswith("curved")
+    # the curved charts divide by u_0 and apply A_0 and A_1; the linear x1 is not periodic
+    assert isinstance(u0, np.ndarray) == (a0 is not None) == (bg.frame_terms[1][1] is not None) == curved
+    assert chart.periodic[1] == (name != "curved_linear_1d")
+    shape = ((batch,) if batch else ()) + chart.spatial_shape + (4,)
+    rng = np.random.default_rng(21)
+    initial = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    states = list(_march(initial, bg, nat, 10.0))
+    want = reference_march(initial, bg, nat)
+    assert len(states) == len(want) == 21
+    for got, ref in zip(states, want):
+        assert got.shape == shape and np.array_equal(got, ref)
+    # every yielded state is a fresh array: no two share memory, nor with the input
+    for i, state in enumerate(states):
+        assert not np.shares_memory(state, initial)
+        assert not any(np.shares_memory(state, other) for other in states[i + 1 :])
 
 
 def test_batched_march_aborts_at_the_first_failing_step(nat):

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 
 from diracfock import PhysicalConstants, build_background, evolve, minkowski_chart, plane_wave
-from diracfock.suites import _base_axis_rows, _complex_normal
+from diracfock.dynamics import _history
+from diracfock.suites import _complex_normal
 
 
 def test_complex_normal_equals_two_draw_expression_bit_for_bit():
@@ -23,7 +24,7 @@ def test_complex_normal_equals_two_draw_expression_bit_for_bit():
 def test_refined_runs_keep_only_the_base_axis_rows():
     # The evolve suite's dt/2 and dt/4 runs on a (101, 64) base history: the
     # two kept arrays of base-axis rows and the march's RK4 stages measured
-    # 2.12 histories; the bound leaves 0.18.  Keeping both full evolve
+    # 2.11 histories; the bound leaves 0.19.  Keeping both full evolve
     # histories, 2 and 4 of them, measured 6.08.
     k = PhysicalConstants.natural_units(mass=1.0)
     base = minkowski_chart(0.0, 0.5, 100, (4.0 * np.pi, 2.0 * np.pi, 2.0 * np.pi), (64, 1, 1))
@@ -33,8 +34,8 @@ def test_refined_runs_keep_only_the_base_axis_rows():
     history = want[2].nbytes
     tracemalloc.start()
     try:
-        half = _base_axis_rows(initial, bgs[2], k, 10.0, 2)
-        ref = _base_axis_rows(initial, bgs[4], k, 10.0, 4)
+        half = _history(initial, bgs[2], k, 10.0, 2)
+        ref = _history(initial, bgs[4], k, 10.0, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -17,15 +17,18 @@ and flat grids, 1D and 3D; ``sample_on_slice``, ``flux`` and ``gram`` on a
 flat (8, 8, 1) grid for an x1 tilt, a tilt along the suppressed x3 and an
 off-node coordinate slice, where ``gram`` pairs each mode's
 ``sample_on_slice`` samples; and the ``operator_matrix`` arrays with the
-``car_report`` residuals for 1 to 8 modes.  Array digests fold -0.0 into +0.0
-first, so they compare values the way ``np.array_equal`` does.  A background
-stores each array on its x1 column, shape (n1, 1, 1, ...); its digest is
-taken after broadcasting it to the chart's spatial grid, so the lines do not
-depend on the stored shape and compare with those of full-grid arrays.  Scalars
-(residuals, fluxes, ``action_value``) print as ``repr``, so a stated rounding
-change shows its size in the diff.  The probes
-use public API only.  Diff the output of two checkouts to confirm that a
-refactor left every result unchanged:
+``car_report`` residuals for 1 to 8 modes; then two probes of the private
+``dynamics._march`` on batches: the state after 8 steps of a batch of 3 on
+a flat 8^3 grid, and the step, norm ratio and x0 at which a batch with a
+zero member aborts.  The other probes use public API only.  Array digests
+fold -0.0 into +0.0 first, so they compare values the way
+``np.array_equal`` does.  A background stores each array on its x1 column,
+shape (n1, 1, 1, ...); its digest is taken after broadcasting it to the
+chart's spatial grid, so the lines do not depend on the stored shape and
+compare with those of full-grid arrays.  Scalars (residuals, fluxes,
+``action_value``, the abort's ratio) print as ``repr``, so a stated rounding
+change shows its size in the diff.  Diff the output of two checkouts to
+confirm that a refactor left every result unchanged:
 
     python3 tools/bundled_digest.py > digest.txt
 """
@@ -113,6 +116,27 @@ def dynamics_lines():
     field_lines("flat-8x8x8", geometry.build_background(chart), wave.values[0], k)
 
 
+def march_lines():
+    """The batched march, which no bundled scenario batches on a 3D grid."""
+    k = PhysicalConstants.natural_units(mass=1.0)
+    chart = geometry.minkowski_chart(0.0, 0.2, 8, (TWO_PI,) * 3, (8, 8, 8))
+    rng = np.random.default_rng(9)
+    batch = rng.standard_normal((3, 8, 8, 8, 4)) + 1j * rng.standard_normal((3, 8, 8, 8, 4))
+    for n, state in enumerate(dynamics._march(batch, geometry.build_background(chart), k, 10.0)):
+        pass
+    print("march-batch3-8x8x8", "state_%d" % n, digest(state))
+
+    # a zero member (norm taken as 1) before carriers that abort at steps 5, 2 and 2
+    chart = geometry.minkowski_chart(0.0, 10.0, 20, (TWO_PI,) * 3, (64, 1, 1))
+    carriers = [dynamics.plane_wave(chart, (kx, 0, 0), k).values[0] for kx in (6, 8, 7)]
+    batch = np.stack([np.zeros_like(carriers[0])] + carriers)
+    try:
+        for _ in dynamics._march(batch, geometry.build_background(chart), k, 10.0):
+            pass
+    except dynamics.EvolutionUnstableError as err:
+        print("march-abort-zero-member", "step", err.step, "ratio", repr(err.ratio), "x0", repr(err.time))
+
+
 def slice_lines():
     k = PhysicalConstants.natural_units(mass=1.0)
     chart = geometry.minkowski_chart(0.0, 1.0, 10, (TWO_PI,) * 3, (8, 8, 1))
@@ -162,6 +186,7 @@ def main() -> None:
     scenario_lines()
     background_lines()
     dynamics_lines()
+    march_lines()
     slice_lines()
     fock_lines()
 
