@@ -84,9 +84,11 @@ def evolve(
     """March the field over the chart's time axis with classical RK4.
 
     ``initial`` holds the spinor samples on the spatial grid at the first
-    time node.  Spatial derivatives are 4th-order with periodic wrap.  The
-    run aborts with EvolutionUnstableError when the L2 norm grows past
-    ``growth_abort`` times its initial value or stops being finite.
+    time node.  Spatial derivatives are 4th-order: central through a
+    wraparound halo on a periodic axis, with one-sided end rows on a
+    non-periodic one (the linear profile's x1).  The run aborts with
+    EvolutionUnstableError when the L2 norm grows past ``growth_abort``
+    times its initial value or stops being finite.
     """
     initial = np.asarray(initial, dtype=np.complex128)
     if initial.shape != bg.chart.spatial_shape + (4,):
@@ -292,10 +294,14 @@ class _RealityGuard:
             raise CurrentRealityError(f"current reality violated: max imaginary part {imag:.3e}")
 
 
-def _block_rows(row_shape: tuple[int, ...]) -> int:
-    """Time rows per block when a current is taken over blocks of time rows
-    of shape ``row_shape`` (n1, n2, n3, 4): about _BLOCK grid samples, at least one row."""
-    return max(1, _BLOCK // int(np.prod(row_shape[:-1])))
+def _block_rows(spatial: tuple[int, ...], halo: bool = False) -> int:
+    """Time rows per block of a history over the spatial grid ``spatial`` (n1, n2, n3):
+    about _BLOCK grid samples and at least one row for a current; for the action
+    density, whose nabla_0 reads a 2-row halo on each side, about 2 _BLOCK samples
+    and at least 8 rows (32 rows at n1 = 256, where one block's conjugate is 512 KiB)."""
+    if halo:
+        return max(8, 2 * _BLOCK // int(np.prod(spatial)))
+    return max(1, _BLOCK // int(np.prod(spatial)))
 
 
 def current(psi: SpinorField, k: PhysicalConstants) -> CurrentField:
@@ -307,7 +313,7 @@ def current(psi: SpinorField, k: PhysicalConstants) -> CurrentField:
     v = psi.values
     out = np.empty(v.shape, dtype=np.float64)
     guard = _RealityGuard()
-    step = _block_rows(v.shape[1:])
+    step = _block_rows(v.shape[1:-1])
     for s in range(0, len(v), step):
         rows = v[s : s + step]
         out[s : s + step] = guard.real(_raw_pair_current(rows, rows, k))
@@ -394,11 +400,6 @@ def divergence(j: CurrentField, bg: Background) -> np.ndarray:
     return out
 
 
-# Grid samples per block of time rows of the action density (at least 8 rows):
-# 32 rows at n1 = 256, where one block's conjugate is 512 KiB.
-_ACTION_BLOCK = 8192
-
-
 def action_value(
     psi: SpinorField,
     bg: Background,
@@ -421,7 +422,7 @@ def action_value(
     _check_grid(psi.chart, bg)
     v = psi.values
     nt, spatial = v.shape[0], v.shape[1:-1]
-    block = max(8, _ACTION_BLOCK // int(np.prod(spatial)))
+    block = _block_rows(spatial, halo=True)
     dens = np.zeros(v.shape[:-1], dtype=np.complex128)
     n = min(block, nt)
     cpsi = np.empty((4, n) + spatial, dtype=np.complex128)  # planar: component a first

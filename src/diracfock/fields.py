@@ -47,9 +47,6 @@ class SpinorField(_GridField):
     def with_values(self, values: np.ndarray) -> "SpinorField":
         return replace(self, values=values)
 
-    def conjugate(self) -> "SpinorField":
-        return self.with_values(np.conj(self.values))
-
     def __add__(self, other: "SpinorField") -> "SpinorField":
         self._check_same_grid(other)
         return self.with_values(self.values + other.values)

@@ -82,7 +82,7 @@ class FockVector(Mapping):
     """Finitely supported complex vector over occupation bitsets.
 
     Behaves as an immutable mapping {bitset: coefficient}; exact zeros are
-    pruned.  Supports +, -, scalar *, and conjugation via .conjugate().
+    pruned.  Supports +, - and scalar *.
     """
 
     __slots__ = ("_terms",)
@@ -124,9 +124,6 @@ class FockVector(Mapping):
         return FockVector({s: c * scalar for s, c in self._terms.items()})
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "FockVector":
-        return FockVector({s: c.conjugate() for s, c in self._terms.items()})
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for c in self._terms.values()))

@@ -351,9 +351,9 @@ def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorFiel
 
     nabla_q psi = Y_q^mu d_mu psi + A_q psi, with 4th-order differences;
     spatial axes honour the chart's periodicity flags, the time axis uses
-    one-sided stencils at its ends.  Conjugate fields use the conjugated
-    coefficients, so conj(nabla psi) = nabla conj(psi) exactly.  A field off
-    the background's spatial grid raises GridMismatchError.
+    one-sided stencils at its ends.  Every coefficient has a zero imaginary
+    part, A_q included, so conj(nabla psi) = nabla conj(psi) exactly.  A
+    field off the background's spatial grid raises GridMismatchError.
     """
     _check_grid(psi.chart, bg)
     if q not in bg.frame_terms:

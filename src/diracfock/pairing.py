@@ -3,9 +3,10 @@
 The pairing depends only on data on the slice: inner, gram and orthonormalize
 take the samples that sample_on_slice takes from a spinor history.  On each
 x1 column a slice reads the time rows of one cubic time plan: a time node, or
-four rows and their weights.  flux and sample_on_slice gather those rows from
-a stored history; _streamed_fluxes keeps only them, from rows of J taken block
-by block as a march yields the field, and gives the same flux bit for bit."""
+four rows and their weights.  One sampler, _slice_samples, takes a history as
+blocks of rows in time order and keeps only those rows: sample_on_slice and
+flux hand it a stored history as one block, and _streamed_fluxes the rows of J
+it takes block by block as a march yields the field."""
 
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from .constants import PhysicalConstants
 from .dynamics import _RealityGuard, _block_rows, _raw_pair_current
 from .fields import CurrentField, GridMismatchError, SpinorField
 from .geometry import Background
-from .stencils import _apply_time_plan, _time_plan
 
 __all__ = [
     "NotSpacelikeError",
@@ -103,6 +103,50 @@ def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float]) ->
     return Slice(times=times, normal=normal, area_weights=weights)
 
 
+def _time_plan(taxis: np.ndarray, t: float) -> tuple[int, tuple[float, ...] | None]:
+    """The rows cubic interpolation at ``t`` reads: (node, None) at a time node,
+    else (first, weights) of the four rows first..first+3, clamped to the axis."""
+    nt = len(taxis)
+    t0, t1 = float(taxis[0]), float(taxis[-1])
+    tol = 1e-9 * max(1.0, abs(t0), abs(t1))
+    if t < t0 - tol or t > t1 + tol:
+        raise ValueError(f"time {t} outside the sampled range [{t0}, {t1}]")
+    if nt == 1:
+        return 0, None
+
+    dt = float(taxis[1] - taxis[0])
+    pos = (t - t0) / dt
+    nearest = int(round(pos))
+    if abs(pos - nearest) < 1e-12 and 0 <= nearest < nt:
+        return nearest, None
+    if nt < 4:
+        raise ValueError("need at least 4 snapshots for cubic interpolation")
+
+    first = int(np.floor(pos)) - 1
+    first = min(max(first, 0), nt - 4)
+    ts = taxis[first : first + 4]
+    weights = []
+    for j in range(4):
+        w = 1.0
+        for m in range(4):
+            if m != j:
+                w *= (t - ts[m]) / (ts[j] - ts[m])
+        weights.append(w)
+    return first, tuple(weights)
+
+
+def _apply_time_plan(rows: np.ndarray, weights: tuple[float, ...] | None) -> np.ndarray:
+    """The sample from a plan's rows: a copy of rows[0] at a time node, else
+    sum_j weights[j] rows[j], accumulated from zeros in order j = 0..3."""
+    if weights is None:
+        return rows[0].copy()
+    out = np.zeros_like(rows[0])
+    tmp = np.empty_like(out)
+    for w, row in zip(weights, rows):
+        out += np.multiply(w, row, out=tmp)
+    return out
+
+
 def _time_plans(taxis: np.ndarray, s: Slice) -> list[tuple[int, tuple[float, ...] | None]]:
     """The time plan of each x1 column, or one plan for all columns when every
     slice time rounds to the same value at 12 decimals."""
@@ -128,54 +172,58 @@ def _sample(window: np.ndarray, plans: list) -> np.ndarray:
     return out
 
 
-def _on_slice(values: np.ndarray, taxis: np.ndarray, s: Slice) -> np.ndarray:
-    """Grid samples (nt, n1, n2, n3, ...) on the slice, cubic in time between snapshots."""
-    if values.shape[0] != len(taxis):
-        raise ValueError("time axis length does not match the value array")
-    plans = _time_plans(taxis, s)
-    rows = _window_rows(plans, values.shape[1])
-    return _sample(values[rows, np.arange(values.shape[1])], plans)
+def _slice_samples(blocks: Iterable[np.ndarray], taxis: np.ndarray, slices: list[Slice]) -> list[np.ndarray]:
+    """Grid samples (n1, n2, n3, ...) on each slice, cubic in time between snapshots,
+    of a history on ``taxis`` given as blocks of rows (m, n1, n2, n3, ...) in time
+    order.  Each slice keeps a window (4, n1, n2, n3, ...) of the rows its time plan
+    reads per x1 column, copied from the block that holds them; a block is not
+    read after the next one is drawn."""
+    plans = [_time_plans(taxis, s) for s in slices]
+    need = [_window_rows(p, len(s.times)) for p, s in zip(plans, slices)]
+    windows: list[np.ndarray] = []
+    start = 0  # time row of the block's first row
+    for block in blocks:
+        if not windows:
+            windows = [np.empty((4,) + block.shape[1:], dtype=block.dtype) for _ in slices]
+        for win, want in zip(windows, need):
+            r, i = np.nonzero((want >= start) & (want < start + len(block)))
+            win[r, i] = block[want[r, i] - start, i]
+        start += len(block)
+    return [_sample(win, p) for win, p in zip(windows, plans)]
 
 
 def _streamed_fluxes(rows: Iterable[np.ndarray], taxis: np.ndarray, slices: list[Slice], k: PhysicalConstants) -> list[float]:
     """flux(current(history), s) for each slice, bit for bit, from the rows of the
     history in time order, without the history.
 
-    J is taken once per block of rows (dynamics._block_rows); each slice keeps
-    only the window of J rows its time plan reads per x1 column.  The reality
-    guard folds each block's maxima and raises CurrentRealityError, with
-    current's message, after the last row.
+    J is taken once per block of rows (dynamics._block_rows) and handed to
+    _slice_samples.  The reality guard folds each block's maxima and raises
+    CurrentRealityError, with current's message, after the last row.
     """
-    plans = [_time_plans(taxis, s) for s in slices]
-    need = [_window_rows(p, len(s.times)) for p, s in zip(plans, slices)]
-    shape = slices[0].area_weights.shape + (4,)
-    windows = [np.empty((4,) + shape) for _ in slices]
-    block = np.empty((_block_rows(shape),) + shape, dtype=np.complex128)
+    shape = slices[0].area_weights.shape
+    block = np.empty((_block_rows(shape),) + shape + (4,), dtype=np.complex128)
     guard = _RealityGuard()
-    start = m = 0  # time row of block[0], rows held
 
-    def fold() -> None:
-        b = block[:m]
-        j = guard.real(_raw_pair_current(b, b, k))
-        for win, want in zip(windows, need):
-            r, i = np.nonzero((want >= start) & (want < start + m))
-            win[r, i] = j[want[r, i] - start, i]
+    def j_blocks():
+        m = 0  # rows held
+        for row in rows:
+            block[m] = row
+            m += 1
+            if m == len(block):
+                yield guard.real(_raw_pair_current(block, block, k))
+                m = 0
+        if m:
+            b = block[:m]
+            yield guard.real(_raw_pair_current(b, b, k))
 
-    for row in rows:
-        block[m] = row
-        m += 1
-        if m == len(block):
-            fold()
-            start, m = start + m, 0
-    if m:
-        fold()
+    samples = _slice_samples(j_blocks(), taxis, slices)
     guard.check()
-    return [float(_slice_integral(_sample(win, p), s)) for win, p, s in zip(windows, plans, slices)]
+    return [float(_slice_integral(j, s)) for j, s in zip(samples, slices)]
 
 
 def sample_on_slice(psi: SpinorField, s: Slice) -> np.ndarray:
     """Spinor samples on the slice, cubic in time between stored snapshots."""
-    return _on_slice(psi.values, psi.taxis, s)
+    return _slice_samples([psi.values], psi.taxis, [s])[0]
 
 
 def _contract_with_normal(j_values: np.ndarray, s: Slice) -> np.ndarray:
@@ -203,7 +251,7 @@ def flux(j: CurrentField, s: Slice) -> float:
     The current is interpolated onto the slice in time; the quadrature is the
     periodic rectangle rule weighted by the induced area element.
     """
-    return float(_slice_integral(_on_slice(j.values, j.taxis, s), s))
+    return float(_slice_integral(_slice_samples([j.values], j.taxis, [s])[0], s))
 
 
 def inner(phi: np.ndarray, psi: np.ndarray, s: Slice, k: PhysicalConstants) -> complex:

@@ -1,10 +1,10 @@
-"""Fourth-order finite differences and time interpolation on uniform grids."""
+"""Fourth-order finite differences on uniform grids."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["differentiate", "cubic_time_interpolate"]
+__all__ = ["differentiate"]
 
 # Integer numerators of the O(h^4) first-derivative weights; the common
 # denominator 12 h is divided out once at the end.  Constant data c does not
@@ -57,58 +57,3 @@ def _central(src: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     out -= src[4 : n + 4]
     return out
 
-
-def cubic_time_interpolate(values: np.ndarray, taxis: np.ndarray, t: float) -> np.ndarray:
-    """Cubic Lagrange interpolation along the leading (time) axis.
-
-    ``values`` has shape (nt, ...); snapshots are at the uniformly spaced
-    ``taxis`` nodes.  ``t`` must lie inside the sampled range.
-    """
-    if values.shape[0] != len(taxis):
-        raise ValueError("time axis length does not match the value array")
-    first, weights = _time_plan(taxis, t)
-    return _apply_time_plan(values[first : first + 4], weights)
-
-
-def _time_plan(taxis: np.ndarray, t: float) -> tuple[int, tuple[float, ...] | None]:
-    """The rows cubic interpolation at ``t`` reads: (node, None) at a time node,
-    else (first, weights) of the four rows first..first+3, clamped to the axis."""
-    nt = len(taxis)
-    t0, t1 = float(taxis[0]), float(taxis[-1])
-    tol = 1e-9 * max(1.0, abs(t0), abs(t1))
-    if t < t0 - tol or t > t1 + tol:
-        raise ValueError(f"time {t} outside the sampled range [{t0}, {t1}]")
-    if nt == 1:
-        return 0, None
-
-    dt = float(taxis[1] - taxis[0])
-    pos = (t - t0) / dt
-    nearest = int(round(pos))
-    if abs(pos - nearest) < 1e-12 and 0 <= nearest < nt:
-        return nearest, None
-    if nt < 4:
-        raise ValueError("need at least 4 snapshots for cubic interpolation")
-
-    first = int(np.floor(pos)) - 1
-    first = min(max(first, 0), nt - 4)
-    ts = taxis[first : first + 4]
-    weights = []
-    for j in range(4):
-        w = 1.0
-        for m in range(4):
-            if m != j:
-                w *= (t - ts[m]) / (ts[j] - ts[m])
-        weights.append(w)
-    return first, tuple(weights)
-
-
-def _apply_time_plan(rows: np.ndarray, weights: tuple[float, ...] | None) -> np.ndarray:
-    """The sample from a plan's rows: a copy of rows[0] at a time node, else
-    sum_j weights[j] rows[j], accumulated from zeros in order j = 0..3."""
-    if weights is None:
-        return rows[0].copy()
-    out = np.zeros_like(rows[0])
-    tmp = np.empty_like(out)
-    for w, row in zip(weights, rows):
-        out += np.multiply(w, row, out=tmp)
-    return out

@@ -519,10 +519,6 @@ def _reference_action(psi, bg, k, rows=None):
     return dynamics._integrate(dens, psi.chart, bg)
 
 
-def _block_rows(chart):
-    return max(8, dynamics._ACTION_BLOCK // int(np.prod(chart.spatial_shape)))
-
-
 BLOCKED_CHARTS = {
     "flat-1d": lambda steps: flat_chart(shape=(256, 1, 1), t_span=1.0, steps=steps),
     "flat-8^3": lambda steps: flat_chart(shape=(8, 8, 8), t_span=0.5, steps=steps),
@@ -540,7 +536,7 @@ def test_blocked_action_equals_the_full_history_body_bit_for_bit(nat, name):
     # On the 1D chart B = 32, so the reference's form temporaries span
     # 20 KiB to 268 KiB, both sides of numpy's 256 KiB elision threshold;
     # its 3-row evaluation stays below it.
-    b = _block_rows(BLOCKED_CHARTS[name](10))
+    b = dynamics._block_rows(BLOCKED_CHARTS[name](10).spatial_shape, halo=True)
     massless = PhysicalConstants.natural_units(mass=0.0)
     rng = np.random.default_rng(23)
     for nt in (5, b - 1, b, b + 1, 2 * b + 3):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracfock import (
     CurrentRealityError,
@@ -28,7 +30,16 @@ from diracfock import (
     tilted_slice,
 )
 from diracfock import dynamics
-from diracfock.pairing import _streamed_fluxes
+from diracfock.pairing import (
+    _apply_time_plan,
+    _sample,
+    _slice_integral,
+    _slice_samples,
+    _streamed_fluxes,
+    _time_plan,
+    _time_plans,
+    _window_rows,
+)
 from diracfock.scenarios import BUNDLED
 from diracfock.spin_algebra import _PAIRING_ROWS, _Rows
 from diracfock.suites import suite_pairing
@@ -174,6 +185,34 @@ def test_orthonormalize_flags_dependent_mode(nat, wave_setup):
     assert info.value.index == 2
 
 
+def test_time_plan_is_exact_on_cubics():
+    taxis = np.linspace(0.0, 3.0, 7)
+    values = (taxis**3 - taxis)[:, None] * np.array([1.0, -2.0])
+    for t in (0.31, 1.77, 2.9):
+        first, weights = _time_plan(taxis, t)
+        out = _apply_time_plan(values[first : first + 4], weights)
+        expect = (t**3 - t) * np.array([1.0, -2.0])
+        assert np.max(np.abs(out - expect)) <= 1e-12
+
+
+def test_time_plan_takes_a_node_without_four_snapshots():
+    taxis = np.array([0.0, 0.5, 1.0])
+    values = np.array([[1.0], [7.0], [-4.0]])
+    # on-node times bypass the 4-snapshot requirement entirely
+    first, weights = _time_plan(taxis, 0.5)
+    assert (first, weights) == (1, None)
+    assert np.array_equal(_apply_time_plan(values[first:], weights), values[1])
+    with pytest.raises(ValueError, match="at least 4 snapshots"):
+        _time_plan(taxis, 0.25)
+
+
+def test_time_plan_rejects_times_off_the_axis():
+    taxis = np.linspace(0.0, 1.0, 5)
+    for t in (1.5, -0.1):
+        with pytest.raises(ValueError, match="outside the sampled range"):
+            _time_plan(taxis, t)
+
+
 def test_sample_on_slice_interpolates_in_time(nat):
     chart = minkowski_chart(0.0, 3.0, 6, (TWO_PI, TWO_PI, TWO_PI), (8, 1, 1))
     bg = build_background(chart)
@@ -257,6 +296,14 @@ def _stream_setup(shape):
     return SpinorField(chart, values), slices
 
 
+def _gathered_samples(values, taxis, s):
+    """The reference sampler: one fancy-index gather of every column's window rows
+    from the whole history, then the library's time plans."""
+    plans = _time_plans(taxis, s)
+    rows = _window_rows(plans, values.shape[1])
+    return _sample(values[rows, np.arange(values.shape[1])], plans)
+
+
 @pytest.mark.parametrize("shape", [(16, 1, 1), (16, 32, 1), (16, 16, 16)])
 def test_streamed_fluxes_equal_the_history_fluxes_bit_for_bit(nat, shape):
     # 256, 8 and 1 time rows per block of J: one block, a short last block,
@@ -266,8 +313,24 @@ def test_streamed_fluxes_equal_the_history_fluxes_bit_for_bit(nat, shape):
     times = slices[3].times
     assert np.array_equal(times[::2], taxis[:8]) and times[1] < taxis[0] + dt and times[-1] > taxis[-1] - dt
     j = current(psi, nat)
-    want = [flux(j, s) for s in slices]
+    want = [float(_slice_integral(_gathered_samples(j.values, taxis, s), s)) for s in slices]
     assert _streamed_fluxes(iter(psi.values), taxis, slices, nat) == want
+    assert [flux(j, s) for s in slices] == want
+    for s in slices:
+        assert np.array_equal(sample_on_slice(psi, s), _gathered_samples(psi.values, taxis, s))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(1, 8)), st.sampled_from([(16, 1, 1), (16, 32, 1)]))
+def test_any_partition_into_row_blocks_gives_the_same_samples(cuts, shape):
+    # cuts splits the 9 time rows into blocks; every slice's samples, the
+    # tilted slice's clamped windows included, equal the one-block gather
+    psi, slices = _stream_setup(shape)
+    edges = [0, *sorted(cuts), len(psi.taxis)]
+    blocks = (psi.values[a:b] for a, b in zip(edges, edges[1:]))
+    got = _slice_samples(blocks, psi.taxis, slices)
+    for g, s in zip(got, slices):
+        assert np.array_equal(g, _gathered_samples(psi.values, psi.taxis, s))
 
 
 def test_the_stream_raises_the_reality_error_of_current(nat, monkeypatch):

@@ -20,7 +20,12 @@ off-node coordinate slice, where ``gram`` pairs each mode's
 ``car_report`` residuals for 1 to 8 modes; then two probes of the private
 ``dynamics._march`` on batches: the state after 8 steps of a batch of 3 on
 a flat 8^3 grid, and the step, norm ratio and x0 at which a batch with a
-zero member aborts.  The other probes use public API only.  Array digests
+zero member aborts; and the fluxes of the private
+``pairing._streamed_fluxes`` on random histories of 9 time rows that it
+takes as several blocks of J (one row per block on a 16^3 grid; blocks of 8
+rows, then a short last block of 1, on a (16, 32, 1) grid), over coordinate
+slices at both ends of the axis and off the nodes and an x1 tilt whose
+windows clamp to both ends.  The other probes use public API only.  Array digests
 fold -0.0 into +0.0 first, so they compare values the way
 ``np.array_equal`` does.  A background stores each array on its x1 column,
 shape (n1, 1, 1, ...); its digest is taken after broadcasting it to the
@@ -164,6 +169,25 @@ def slice_lines():
         print(label, "gram", digest(pairing.gram(samples, s, k)))
 
 
+def stream_lines():
+    """The pairing suite's streamed fluxes on 2D and 3D grids, which no bundled
+    scenario streams (its pairing run is 1D)."""
+    k = PhysicalConstants.natural_units(mass=1.0)
+    for shape in ((16, 16, 16), (16, 32, 1)):
+        chart = geometry.minkowski_chart(0.0, 2.0, 8, (8.0, TWO_PI, TWO_PI), shape)
+        bg = geometry.build_background(chart)
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(chart.shape + (4,)) + 1j * rng.standard_normal(chart.shape + (4,))
+        slices = [
+            pairing.coordinate_slice(bg, 0.0),
+            pairing.coordinate_slice(bg, 2.0),
+            pairing.coordinate_slice(bg, 1.0 + 0.37 * chart.dt),
+            pairing.tilted_slice(bg, 1.0, (0.25, 0.0, 0.0)),
+        ]
+        fluxes = pairing._streamed_fluxes(iter(values), chart.axes[0], slices, k)
+        print("stream-%dx%dx%d" % shape, "fluxes", " ".join(map(repr, fluxes)))
+
+
 def fock_lines():
     for nmodes in range(1, 9):
         for kind in ("create", "annihilate"):
@@ -188,6 +212,7 @@ def main() -> None:
     dynamics_lines()
     march_lines()
     slice_lines()
+    stream_lines()
     fock_lines()
 
 
