@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fields import CurrentField, SpinorField
-from .geometry import Background, MetricChart, _check_grid, _nabla, covariant_derivative
+from .fields import CurrentField, SpinorField, _check_grid
+from .geometry import Background, MetricChart, _nabla, _transport, covariant_derivative
 from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, FRAME, _apply, _Rows
 from .stencils import _central, differentiate
 
@@ -123,32 +123,28 @@ def _operator(bg: Background, k: PhysicalConstants, shape: tuple[int, ...], stag
     d, tmp, pool = bufs[stages], bufs[stages + 1], block[(stages + 2) * size :]
     dr = d.view(np.float64)
     u0, a0 = bg.frame_terms[0]
-    terms = []  # per spatial q: q, u_q, A_q, gamma^0 gamma^q, and a periodic d_q's halo and stencil views
-    for q, (u, a) in list(bg.frame_terms.items())[1:]:
+    terms = []  # per spatial q: q, A_q, gamma^0 gamma^q, and a periodic d_q's halo and stencil views
+    for q, (_, a) in list(bg.frame_terms.items())[1:]:  # Y_q^q is 1.0 on every spatial axis
         rows, n, halo = g0 @ _GAMMA_ROWS[q], shape[q + 1], None
-        if u is not None and chart.periodic[q]:
+        if chart.periodic[q]:
             buf = pool[: size // n * (n + 4)].reshape(shape[: q + 1] + (n + 4,) + shape[q + 2 :])
             views = [np.moveaxis(b, q + 1, 0) for b in (buf, d, tmp)]
             halo = (np.arange(-2, n + 2), buf, views, 1.0 / (12.0 * chart.spacing[q]))
-        terms.append((q, u, a, rows.perm.tolist(), rows.phase.tolist(), halo))
+        terms.append((q, a, rows.perm.tolist(), rows.phase.tolist(), halo))
 
     def rhs(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         for c, (p, m) in enumerate(mass):
             np.multiply(v[p], m, out=out[c])
-        for q, u, a, perm, phase, halo in terms:
+        for q, a, perm, phase, halo in terms:
             if halo is not None:
                 wrap, buf, views, scale = halo
                 np.take(v, wrap, axis=q + 1, out=buf, mode="wrap")
                 _central(*views)
                 np.multiply(dr, scale, out=dr)
-            elif u is not None:  # one-sided end rows on a non-periodic axis
+            else:  # one-sided end rows on a non-periodic axis
                 np.copyto(d, differentiate(v, q + 1, chart.spacing[q], False))
-            if isinstance(u, np.ndarray):
-                np.multiply(d, u, out=d)
             if a is not None:
-                np.einsum("xyzab,btxyz->atxyz", a, v, out=d if u is None else tmp)
-                if u is not None:
-                    np.add(d, tmp, out=d)
+                np.add(d, np.einsum("xyzab,btxyz->atxyz", a, v, out=tmp), out=d)
             for c in range(4):
                 out[c] -= np.multiply(d[perm[c]], phase[c], out=tmp[0])
         if a0 is not None:
@@ -384,13 +380,11 @@ def timelike_report(psi_values: np.ndarray, k: PhysicalConstants) -> TimelikeRep
 def divergence(j: CurrentField, bg: Background) -> np.ndarray:
     """sum_q nabla_q J^q over the grid, shape (nt, n1, n2, n3), of a current on bg's spatial grid."""
     chart = j.chart
-    _check_grid(chart, bg)
-    out = None  # time comes first in frame_terms and always differentiates
-    for q, (u, _) in bg.frame_terms.items():
-        if u is not None:
-            d = differentiate(j.values[..., q], axis=q, spacing=chart.spacing[q], periodic=q > 0 and chart.periodic[q])
-            d = d if isinstance(u, float) else u * d
-            out = d if out is None else out + d
+    _check_grid(chart, bg.chart)
+    out = None  # time comes first in frame_terms
+    for q in bg.frame_terms:
+        d = _transport(j.values[..., q, None], bg, q, chart)[..., 0]
+        out = d if out is None else out + d
 
     if not bg.is_flat:
         # Connection trace sum_q omega_q^q_r J^r; omega is stored with both
@@ -419,7 +413,7 @@ def action_value(
     4 nodes raises ValueError, as the stencil does; a field off bg's spatial
     grid raises GridMismatchError.
     """
-    _check_grid(psi.chart, bg)
+    _check_grid(psi.chart, bg.chart)
     v = psi.values
     nt, spatial = v.shape[0], v.shape[1:-1]
     block = _block_rows(spatial, halo=True)

@@ -13,6 +13,14 @@ class GridMismatchError(ValueError):
     """Fields defined on incompatible grids were combined."""
 
 
+def _check_grid(chart, ref) -> None:
+    """GridMismatchError unless chart has ref's spatial axes, spacings and
+    periodic flags; the time axes may differ."""
+    same = chart.periodic[1:] == ref.periodic[1:] and chart.spacing[1:] == ref.spacing[1:]
+    if not (same and all(map(np.array_equal, chart.axes[1:], ref.axes[1:]))):
+        raise GridMismatchError("fields live on different grids")
+
+
 @dataclass(frozen=True)
 class _GridField:
     """Values of shape (nt, n1, n2, n3, 4) over a chart's time and spatial grid."""
@@ -48,23 +56,21 @@ class SpinorField(_GridField):
         return replace(self, values=values)
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
-        self._check_same_grid(other)
+        _check_grid(other.chart, self.chart)
+        if not np.array_equal(other.taxis, self.taxis):
+            raise GridMismatchError("fields live on different time axes")
         return self.with_values(self.values + other.values)
 
     def __sub__(self, other: "SpinorField") -> "SpinorField":
-        self._check_same_grid(other)
+        _check_grid(other.chart, self.chart)
+        if not np.array_equal(other.taxis, self.taxis):
+            raise GridMismatchError("fields live on different time axes")
         return self.with_values(self.values - other.values)
 
     def __mul__(self, scalar: complex) -> "SpinorField":
         return self.with_values(self.values * scalar)
 
     __rmul__ = __mul__
-
-    def _check_same_grid(self, other: "SpinorField") -> None:
-        if self.values.shape != other.values.shape:
-            raise GridMismatchError("fields live on different grids")
-        if not np.allclose(self.taxis, other.taxis, rtol=0.0, atol=1e-12):
-            raise GridMismatchError("fields live on different time axes")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import GridMismatchError, SpinorField
+from .fields import SpinorField, _check_grid
 from .spin_algebra import _CHIRALITY_ROWS, _DIRAC_FORM_ROWS, _GAMMA_ROWS, _SKEW_METRIC_ROWS, FRAME, _apply
 from .stencils import differentiate
 
@@ -63,18 +63,15 @@ class MetricChart:
     axes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     periodic: tuple[bool, bool, bool, bool]
     family: str
+    # the step each axis was built with: far from 0 the nodes are rounded to a
+    # few units of their magnitude, so their differences are not the step.
+    step: tuple[float, float, float, float]
     epsilon: float = 0.0
     profile: str = "linear"
-    # the step each axis was built with; None reads it off the first two nodes.
-    # Far from 0 the nodes are rounded to a few units of their magnitude, so
-    # their differences are not the step the axis was built with.
-    step: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
         if len(self.axes) != 4:
             raise ChartError("a chart needs 4 axes")
-        if self.step is None:
-            object.__setattr__(self, "step", tuple(float(a[1] - a[0]) if len(a) > 1 else 1.0 for a in self.axes))
         for a, h in zip(self.axes, self.step):
             if len(a) > 1:
                 diffs = np.diff(a)
@@ -216,21 +213,19 @@ class Background:
         return self.chart.family == "minkowski"
 
     @cached_property
-    def frame_terms(self) -> dict[int, tuple[np.ndarray | float | None, np.ndarray | None]]:
-        """q -> (Y_q^q, A_q) for the frame directions that carry work.
+    def frame_terms(self) -> dict[int, tuple[np.ndarray | float, np.ndarray | None]]:
+        """q -> (Y_q^q, A_q) for time and each spatial axis that is not suppressed.
 
-        Y_q^q is None on a suppressed spatial axis (time always differentiates,
-        on the field's own axis) and 1.0 where it is identically one, so no
-        caller multiplies by it; A_q is None where it vanishes identically.
+        Both families are diag(g00(x1), -1, -1, -1), so Y_q^q is exactly 1.0 on
+        every spatial axis and A_q is None (zero) except on time and x1.  Y_0^0
+        is 1.0 where it is identically one, so no caller multiplies by it.
         """
         terms = {}
         for q in range(4):
-            u = self.tetrad[..., q, q] if q == 0 or len(self.chart.axes[q]) > 1 else None
-            u = 1.0 if u is not None and np.all(u == 1.0) else u
-            a = self.spinor_connection[..., q, :, :]
-            a = a if np.any(a != 0.0) else None
-            if u is not None or a is not None:
-                terms[q] = (u, a)
+            if q == 0 or len(self.chart.axes[q]) > 1:
+                u, a = self.tetrad[..., q, q], self.spinor_connection[..., q, :, :]
+                u = 1.0 if np.all(u == 1.0) else u
+                terms[q] = (u, a if np.any(a != 0.0) else None)
         return terms
 
 
@@ -355,29 +350,25 @@ def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorFiel
     part, A_q included, so conj(nabla psi) = nabla conj(psi) exactly.  A
     field off the background's spatial grid raises GridMismatchError.
     """
-    _check_grid(psi.chart, bg)
+    _check_grid(psi.chart, bg.chart)
     if q not in bg.frame_terms:
         return psi.with_values(np.zeros_like(psi.values))
     return psi.with_values(_nabla(psi.values, bg, q, psi.chart))
 
 
-def _check_grid(chart: MetricChart, bg: Background) -> None:
-    """GridMismatchError unless a field on chart has the background's spatial axes,
-    spacings and periodic flags; its time axis may differ."""
-    ref = bg.chart
-    same = chart.periodic[1:] == ref.periodic[1:] and chart.spacing[1:] == ref.spacing[1:]
-    if not (same and all(map(np.array_equal, chart.axes[1:], ref.axes[1:]))):
-        raise GridMismatchError("field and background live on different grids")
+def _transport(v: np.ndarray, bg: Background, q: int, chart: MetricChart) -> np.ndarray:
+    """Y_q^q d_q v on samples v[t, x1, x2, x3, ...] of a field on chart, for q in
+    bg.frame_terms: the time axis takes one-sided end rows, a spatial axis the
+    chart's periodicity."""
+    u = bg.frame_terms[q][0]
+    d = differentiate(v, axis=q, spacing=chart.spacing[q], periodic=q > 0 and chart.periodic[q])
+    return d if isinstance(u, float) else u[..., None] * d
 
 
 def _nabla(v: np.ndarray, bg: Background, q: int, chart: MetricChart) -> np.ndarray:
-    """Y_q^q d_q v + A_q v on samples v[t, x1, x2, x3, a] of a field on chart;
-    q in bg.frame_terms, the chart checked by _check_grid."""
-    u, a = bg.frame_terms[q]
-    out = 0.0
-    if u is not None:
-        out = differentiate(v, axis=q, spacing=chart.spacing[q], periodic=q > 0 and chart.periodic[q])
-        out = out if isinstance(u, float) else u[..., None] * out
-    if a is not None:
-        out = out + np.einsum("xyzab,txyzb->txyza", a, v)
-    return out
+    """Y_q^q d_q v + A_q v, the transport term plus the connection, on samples
+    v[t, x1, x2, x3, a] of a field on chart; q in bg.frame_terms, the chart
+    checked by _check_grid."""
+    out = _transport(v, bg, q, chart)
+    a = bg.frame_terms[q][1]
+    return out if a is None else out + np.einsum("xyzab,txyzb->txyza", a, v)

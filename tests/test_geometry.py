@@ -142,12 +142,16 @@ def _x23_derivative_slots():
     return gamma, omega
 
 
-@pytest.mark.parametrize("profile,epsilon", [("sin", 0.01), ("linear", 0.05)])
+@pytest.mark.parametrize("profile,epsilon", [("flat", 0.0), ("sin", 0.01), ("linear", 0.05)])
 def test_3d_background_broadcasts_the_x1_column(profile, epsilon):
-    grid, column = (
-        build_background(static_diagonal_chart(0.0, 1.0, 2, (TWO_PI,) * 3, shape, epsilon=epsilon, profile=profile))
-        for shape in ((16, 16, 16), (16, 1, 1))
-    )
+    curved = profile != "flat"
+
+    def background(shape):
+        if not curved:
+            return build_background(minkowski_chart(0.0, 1.0, 2, (TWO_PI,) * 3, shape))
+        return build_background(static_diagonal_chart(0.0, 1.0, 2, (TWO_PI,) * 3, shape, epsilon=epsilon, profile=profile))
+
+    grid, column, plane = map(background, ((16, 16, 16), (16, 1, 1), (1, 16, 16)))
     for name in (f.name for f in dataclasses.fields(grid) if f.name != "chart"):
         got, ref = getattr(grid, name), getattr(column, name)
         assert got.shape == (16, 1, 1) + ref.shape[3:] == ref.shape, name
@@ -158,12 +162,19 @@ def test_3d_background_broadcasts_the_x1_column(profile, epsilon):
     assert np.all(grid.christoffel[..., gamma_slots] == 0.0)
     assert np.all(grid.omega[..., omega_slots] == 0.0)
     # the x1 derivatives are not all zero, so the masks leave the curvature in place
-    assert np.any(grid.christoffel[..., ~gamma_slots] != 0.0)
-    assert np.any(grid.omega[..., ~omega_slots] != 0.0)
+    assert np.any(grid.christoffel[..., ~gamma_slots] != 0.0) == curved
+    assert np.any(grid.omega[..., ~omega_slots] != 0.0) == curved
 
     assert np.all(grid.spinor_connection[..., 2:, :, :] == 0.0)
-    for q in (2, 3):
-        assert grid.frame_terms[q] == (1.0, None), q
+    # the invariant the march kernel relies on: a term for time and each active
+    # spatial axis only, Y_q^q exactly 1.0 on every spatial axis, and A_q only on
+    # time and x1 of a curved chart whose x1 is not suppressed
+    for bg in (grid, column, plane):
+        active = [q for q in (1, 2, 3) if bg.chart.shape[q] > 1]
+        assert list(bg.frame_terms) == [0] + active
+        for q, (u, a) in bg.frame_terms.items():
+            assert q == 0 or (type(u) is float and u == 1.0), q
+            assert (a is not None) == (curved and q < 2 and bg.chart.shape[1] > 1), q
     # the residuals read the same column, so they match the 1D chart's exactly
     assert concordance_residuals(grid) == concordance_residuals(column)
     assert torsion_residual(grid) == torsion_residual(column)
@@ -248,10 +259,20 @@ def test_fields_must_match_their_chart():
         for kind in (SpinorField, CurrentField):
             with pytest.raises(GridMismatchError):
                 kind(chart=chart, values=values)
-    later = minkowski_chart(0.5, 1.0, 8, (TWO_PI, TWO_PI, TWO_PI), (8, 1, 1))
-    a, b = (SpinorField(chart=c, values=np.zeros(c.shape + (4,), dtype=complex)) for c in (chart, later))
-    with pytest.raises(GridMismatchError):
-        a + b
+    others = (
+        minkowski_chart(0.5, 1.0, 8, (TWO_PI, TWO_PI, TWO_PI), (8, 1, 1)),  # a later time axis
+        # the same node counts on a box twice as long, and on a shifted box
+        minkowski_chart(0.0, 1.0, 8, (2 * TWO_PI, TWO_PI, TWO_PI), (8, 1, 1)),
+        minkowski_chart(0.0, 1.0, 8, (TWO_PI, TWO_PI, TWO_PI), (8, 1, 1), origin=(1.0, 0.0, 0.0)),
+    )
+    a = SpinorField(chart=chart, values=np.zeros(chart.shape + (4,), dtype=complex))
+    for other in others:
+        b = SpinorField(chart=other, values=np.zeros(other.shape + (4,), dtype=complex))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(GridMismatchError):
+                x + y
+            with pytest.raises(GridMismatchError):
+                x - y
 
 
 def test_chart_validation_errors():
@@ -267,9 +288,10 @@ def test_chart_validation_errors():
             axes=(np.array([0.0, 0.1, 0.5]),) + good.axes[1:],
             periodic=good.periodic,
             family="minkowski",
+            step=(0.1,) + good.step[1:],
         )
     with pytest.raises(ChartError):
-        MetricChart(axes=good.axes, periodic=good.periodic, family="schwarzschild")
+        MetricChart(axes=good.axes, periodic=good.periodic, family="schwarzschild", step=good.step)
     with pytest.raises(ChartError):
         good.with_time_axis(0.0, 1.0, 0)
     # rounding collapses the nodes far from 0: uniform, but not increasing
@@ -287,7 +309,7 @@ def test_uniformity_tolerance_scales_with_the_axis_offset():
     displaced = offset.axes[0].copy()
     displaced[5] *= 1.0 + 1e-9
     with pytest.raises(ChartError, match="axes must be uniform"):
-        MetricChart(axes=(displaced,) + offset.axes[1:], periodic=offset.periodic, family="minkowski")
+        MetricChart(axes=(displaced,) + offset.axes[1:], periodic=offset.periodic, family="minkowski", step=offset.step)
 
 
 def test_metric_must_stay_lorentzian():
