@@ -60,8 +60,9 @@ def write_outputs(cfg: ScenarioConfig, results: list[CheckResult], artifacts: di
             fh.write(content)
     return text
 
-# Raised by the library for input it cannot take; any other exception is a
-# bug and keeps its traceback.
+# Raised by the library for input it cannot take, or for an array this host
+# cannot allocate (numpy's own MemoryError); any other exception is a bug and
+# keeps its traceback.
 LIBRARY_ERRORS = (
     ChartError,
     CurrentRealityError,
@@ -69,6 +70,7 @@ LIBRARY_ERRORS = (
     NotSpacelikeError,
     RankDeficientModeError,
     NotImplementedError,
+    MemoryError,
 )
 
 

@@ -30,7 +30,8 @@ def differentiate(values: np.ndarray, axis: int, spacing: float, periodic: bool)
     if n < 5:
         raise ValueError(f"axis {axis} has {n} nodes, need at least 5 for the stencil")
 
-    moved = np.moveaxis(values, axis, 0)
+    # Integer data is promoted once, so the sums can be scaled in place.
+    moved = np.moveaxis(np.asarray(values, dtype=np.result_type(values, 1.0)), axis, 0)
     if periodic:
         # Central weights on every node, through a 2-node wraparound halo.
         src = np.concatenate((moved[n - 2 :], moved, moved[:2]))
@@ -43,7 +44,8 @@ def differentiate(values: np.ndarray, axis: int, spacing: float, periodic: bool)
         for i, weights in enumerate((_EDGE0, _EDGE1)):
             out[i] = sum(w * moved[k] for k, w in enumerate(weights))
             out[n - 1 - i] = sum(-w * moved[n - 1 - k] for k, w in enumerate(weights))
-    return np.moveaxis(out, 0, axis) / (12.0 * spacing)
+    np.divide(out, 12.0 * spacing, out=out)
+    return np.moveaxis(out, 0, axis)
 
 
 def _central(src: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:

@@ -305,6 +305,7 @@ LIBRARY_ERRORS = [
     RankDeficientModeError(2),
     CurrentRealityError("current reality violated: max imaginary part 1.000e-03"),
     NotImplementedError("slice times varying along x2/x3 are not supported"),
+    MemoryError("Unable to allocate 58.2 TiB for an array with shape (1000000000000, 4) and data type complex128"),
 ]
 
 

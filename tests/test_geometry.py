@@ -397,6 +397,41 @@ def test_periodic_and_bounded_differentiate_sum_in_one_order():
         assert np.all(np.abs(out) <= np.spacing(7.0 * abs(c)) / 1.2)
 
 
+def _stencil_sums(v, axis, periodic):
+    """The integer-numerator sums of differentiate along axis, before 1 / (12 h)."""
+    x = np.moveaxis(v, axis, 0)
+    a, b, c, d = (np.roll(x, shift, axis=0) for shift in (2, 1, -1, -2))
+    out = ((a - 8 * b) + 8 * c) - d
+    if not periodic:
+        for i, weights in enumerate(((-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1))):
+            out[i] = sum(w * x[k] for k, w in enumerate(weights))
+            out[-1 - i] = sum(-w * x[-1 - k] for k, w in enumerate(weights))
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("shape", [(9,), (7, 6, 5)])
+def test_differentiate_divides_its_sums_by_12h(shape, periodic):
+    # the sums are divided by 12 h in place, for every dtype; h = 0.1 makes
+    # x / (12 h) and x (1 / (12 h)) differ on the real data, so a multiply by
+    # the reciprocal would show.  Integer data comes back as floats.
+    rng = np.random.default_rng(len(shape))
+    h = 0.1
+    for axis in range(len(shape)):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = differentiate(z, axis=axis, spacing=h, periodic=periodic)
+        assert got.tobytes() == (_stencil_sums(z, axis, periodic) / (12.0 * h)).tobytes()
+        x = rng.standard_normal(shape)
+        sums = _stencil_sums(x, axis, periodic)
+        assert np.any(sums / (12.0 * h) != sums * (1.0 / (12.0 * h)))
+        got = differentiate(x, axis=axis, spacing=h, periodic=periodic)
+        assert got.tobytes() == (sums / (12.0 * h)).tobytes()
+        m = rng.integers(-50, 50, size=shape)
+        got = differentiate(m, axis=axis, spacing=h, periodic=periodic)
+        assert got.dtype == np.float64
+        assert got.tobytes() == (_stencil_sums(m, axis, periodic) / (12.0 * h)).tobytes()
+
+
 def test_differentiate_degenerate_axes():
     values = np.arange(6.0).reshape(2, 1, 3)
     assert np.all(differentiate(values, axis=1, spacing=1.0, periodic=True) == 0.0)

@@ -6,11 +6,13 @@ import numpy as np
 
 from diracfock import PhysicalConstants, build_background, evolve, minkowski_chart, plane_wave
 from diracfock.dynamics import _history
-from diracfock.suites import _complex_normal
+from diracfock.suites import _DRAW, _complex_normal
 
 
 def test_complex_normal_equals_two_draw_expression_bit_for_bit():
-    for shape in ((4, 4, 4), (7, 4), (3, 16, 1, 1, 4)):
+    # the scratch holds _DRAW = 65536 doubles: below it, exactly it, one past
+    # it, 1.58 and 6.1 of it per part
+    for shape in ((4, 4, 4), (7, 4), (3, 16, 1, 1, 4), (16384, 4), (65537,), (101, 256, 1, 1, 4), (100000, 4)):
         a = np.random.default_rng([11, 3])
         b = np.random.default_rng([11, 3])
         got = _complex_normal(a, shape)
@@ -19,6 +21,20 @@ def test_complex_normal_equals_two_draw_expression_bit_for_bit():
         assert got.tobytes() == want.tobytes()
         # both streams are left at the same state
         assert a.standard_normal() == b.standard_normal()
+
+
+def test_complex_normal_holds_the_output_and_one_scratch():
+    # measured 1.7 KB above the output and the 512 KiB scratch at both shapes;
+    # the two whole real draws measured 0.5 of the output above it at (100000, 4)
+    for shape in ((100000, 4), (101, 256, 1, 1, 4)):
+        rng = np.random.default_rng(4)
+        tracemalloc.start()
+        try:
+            out = _complex_normal(rng, shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 8 * _DRAW + 2**14
 
 
 def test_refined_runs_keep_only_the_base_axis_rows():

@@ -25,7 +25,11 @@ zero member aborts; and the fluxes of the private
 takes as several blocks of J (one row per block on a 16^3 grid; blocks of 8
 rows, then a short last block of 1, on a (16, 32, 1) grid), over coordinate
 slices at both ends of the axis and off the nodes and an x1 tilt whose
-windows clamp to both ends.  The other probes use public API only.  Array digests
+windows clamp to both ends; then every field of ``timelike_report`` on
+(3, 4097, 4) samples, which it takes over several blocks, and a draw of the
+private ``suites._complex_normal`` at (101, 256, 1, 1, 4), which straddles
+its scratch, with the generator's next value.  The other probes use public
+API only.  Array digests
 fold -0.0 into +0.0 first, so they compare values the way
 ``np.array_equal`` does.  A background stores each array on its x1 column,
 shape (n1, 1, 1, ...); its digest is taken after broadcasting it to the
@@ -39,6 +43,7 @@ confirm that a refactor left every result unchanged:
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -49,7 +54,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from diracfock import cli, dynamics, fock, geometry, pairing  # noqa: E402
+from diracfock import cli, dynamics, fock, geometry, pairing, suites  # noqa: E402
 from diracfock.constants import PhysicalConstants  # noqa: E402
 from diracfock.fields import SpinorField  # noqa: E402
 from diracfock.scenarios import scenario_names  # noqa: E402
@@ -188,6 +193,19 @@ def stream_lines():
         print("stream-%dx%dx%d" % shape, "fluxes", " ".join(map(repr, fluxes)))
 
 
+def sample_lines():
+    """The current suite's statistics and draws at sizes other than the bundled ones."""
+    k = PhysicalConstants.natural_units(mass=1.0)
+    rng = np.random.default_rng(17)
+    samples = rng.standard_normal((3, 4097, 4)) + 1j * rng.standard_normal((3, 4097, 4))
+    rep = dynamics.timelike_report(samples, k)
+    for field in dataclasses.fields(rep):
+        print("timelike-3x4097x4", field.name, repr(getattr(rep, field.name)))
+    rng = np.random.default_rng([20260819, 4])
+    draw = suites._complex_normal(rng, (101, 256, 1, 1, 4))
+    print("complex-normal-101x256x1x1x4", digest(draw), "next", repr(rng.standard_normal()))
+
+
 def fock_lines():
     for nmodes in range(1, 9):
         for kind in ("create", "annihilate"):
@@ -213,6 +231,7 @@ def main() -> None:
     march_lines()
     slice_lines()
     stream_lines()
+    sample_lines()
     fock_lines()
 
 
