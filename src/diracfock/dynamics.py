@@ -13,9 +13,9 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .fields import CurrentField, SpinorField, _check_grid
-from .geometry import Background, MetricChart, _nabla, _transport, covariant_derivative
+from .geometry import Background, ChartError, MetricChart, _nabla, _transport, covariant_derivative
 from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, FRAME, _apply, _Rows
-from .stencils import _central, differentiate
+from .stencils import _central, differentiate  # noqa: F401 (perfbench's wrapper test reads dynamics.differentiate)
 
 __all__ = [
     "CurrentRealityError",
@@ -84,11 +84,11 @@ def evolve(
     """March the field over the chart's time axis with classical RK4.
 
     ``initial`` holds the spinor samples on the spatial grid at the first
-    time node.  Spatial derivatives are 4th-order: central through a
-    wraparound halo on a periodic axis, with one-sided end rows on a
-    non-periodic one (the linear profile's x1).  The run aborts with
-    EvolutionUnstableError when the L2 norm grows past ``growth_abort``
-    times its initial value or stops being finite.
+    time node.  Spatial derivatives are 4th-order central, through a wraparound
+    halo, in the skew split form of ``_operator``; a bounded spatial axis (the
+    linear profile's x1) raises ChartError.  The run aborts with
+    EvolutionUnstableError when the L2 norm grows past ``growth_abort`` times
+    its initial value or stops being finite.
     """
     initial = np.asarray(initial, dtype=np.complex128)
     if initial.shape != bg.chart.spatial_shape + (4,):
@@ -106,51 +106,50 @@ def _history(initial: np.ndarray, bg: Background, k: PhysicalConstants, growth_a
 
 
 def _operator(bg: Background, k: PhysicalConstants, shape: tuple[int, ...], stages: int):
-    """rhs(v, out): u_0 d_0 psi = gamma^0 (-i mu psi - sum_spatial gamma^q nabla_q psi) - A_0 psi
-    over u_0 into ``out``, for planar states of ``shape`` (4, B, n1, n2, n3), and ``stages``
-    state buffers for the caller.  Each term picks planes of v along gamma^0 or the
-    precomposed gamma^0 gamma^q, times a phase +-1 or +-i; the bits are those of the same
-    sums on (..., 4) samples, as 1 / (12 h) on a real view is numpy's complex divide.
-
-    Every buffer, the derivative, a scratch and one halo shared by the axes included,
-    is a view of one allocation, which is freed whole: separate buffers freed in the
-    heap's middle stay resident."""
-    g0, chart, size = _GAMMA_ROWS[0], bg.chart, int(np.prod(shape))
-    mass = list(zip(g0.perm.tolist(), ((-1j * k.compton_wavenumber) * g0.phase).tolist()))
-    halo_size = max([size // n * (n + 4) for n in shape[2:] if n > 1], default=0)
-    block = np.empty((stages + 2) * size + halo_size, dtype=np.complex128)
-    bufs = [block[i * size : (i + 1) * size].reshape(shape) for i in range(stages + 2)]
-    d, tmp, pool = bufs[stages], bufs[stages + 1], block[(stages + 2) * size :]
-    dr = d.view(np.float64)
-    u0, a0 = bg.frame_terms[0]
-    terms = []  # per spatial q: q, A_q, gamma^0 gamma^q, and a periodic d_q's halo and stencil views
-    for q, (_, a) in list(bg.frame_terms.items())[1:]:  # Y_q^q is 1.0 on every spatial axis
-        rows, n, halo = g0 @ _GAMMA_ROWS[q], shape[q + 1], None
-        if chart.periodic[q]:
-            buf = pool[: size // n * (n + 4)].reshape(shape[: q + 1] + (n + 4,) + shape[q + 2 :])
-            views = [np.moveaxis(b, q + 1, 0) for b in (buf, d, tmp)]
-            halo = (np.arange(-2, n + 2), buf, views, 1.0 / (12.0 * chart.spacing[q]))
-        terms.append((q, a, rows.perm.tolist(), rows.phase.tolist(), halo))
+    """rhs(v, out): d_0 psi = -i mu a gamma^0 psi - gamma^0 gamma^1 (a D_1 psi + D_1(a psi)) / 2
+    - sum_{q=2,3} gamma^0 gamma^q a D_q psi, a = sqrt(g00) = 1 / Y_0^0, into ``out`` for planar
+    states of ``shape`` (4, B, n1, n2, n3), and ``stages`` state buffers for the caller.  Each
+    term picks planes of v along gamma^0 or the precomposed gamma^0 gamma^q, times a phase +-1
+    or +-i (the mass's times -i mu a); the bits are those of the same sums on (..., 4) samples,
+    as 1 / (12 h) on a real view is numpy's complex divide.  The x1 sum a D~psi + D~(a psi) of
+    the periodic stencil D~ is scaled once by 1 / (24 h), so L = -L^H bit for bit; on the flat
+    chart a is 1 and never applied.  A bounded spatial axis raises ChartError.  Every buffer,
+    the derivatives, a scratch and one halo shared by the axes included, is a view of one
+    allocation, freed whole: separate buffers freed in the heap's middle stay resident."""
+    chart, size, curved = bg.chart, int(np.prod(shape)), not bg.is_flat
+    if not all(chart.periodic[1:]):
+        raise ChartError("the march needs every spatial axis periodic")
+    g0, a = _GAMMA_ROWS[0], np.sqrt(bg.metric[..., 0, 0]) if curved else 1.0  # on the x1 column (n1, 1, 1)
+    mass = [(p, m * a if curved else m) for p, m in zip(g0.perm.tolist(), (-1j * k.compton_wavenumber * g0.phase).tolist())]
+    axes = [q for q in (1, 2, 3) if shape[q + 1] > 1]
+    count = stages + 2 + (curved and 1 in axes)  # the split form's D~(a psi) takes one more
+    halo_size = max([size // shape[q + 1] * (shape[q + 1] + 4) for q in axes], default=0)
+    block = np.empty(count * size + halo_size, dtype=np.complex128)
+    bufs = [block[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
+    d, tmp, pool = bufs[stages], bufs[stages + 1], block[count * size :]
+    dr = d.view(np.float64)  # a and the scales vary along x1 at most, so they scale the real view
+    terms = []  # per spatial q: q, gamma^0 gamma^q, the halo, its stencil views, the split form's x1 views
+    for q in axes:
+        rows, n, wrap = g0 @ _GAMMA_ROWS[q], shape[q + 1], np.arange(-2, shape[q + 1] + 2)
+        buf = pool[: size // n * (n + 4)].reshape(shape[: q + 1] + (n + 4,) + shape[q + 2 :])
+        views = [np.moveaxis(b, q + 1, 0) for b in (buf, d, tmp)]
+        split = curved and q == 1 and (buf.view(np.float64), a[wrap % n], views[0], np.moveaxis(bufs[-1], 2, 0), views[2])
+        scale = (1.0 if split else a) / ((24.0 if split else 12.0) * chart.spacing[q])
+        terms.append((q, rows.perm.tolist(), rows.phase.tolist(), wrap, buf, views, scale, split))
 
     def rhs(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         for c, (p, m) in enumerate(mass):
             np.multiply(v[p], m, out=out[c])
-        for q, a, perm, phase, halo in terms:
-            if halo is not None:
-                wrap, buf, views, scale = halo
-                np.take(v, wrap, axis=q + 1, out=buf, mode="wrap")
-                _central(*views)
-                np.multiply(dr, scale, out=dr)
-            else:  # one-sided end rows on a non-periodic axis
-                np.copyto(d, differentiate(v, q + 1, chart.spacing[q], False))
-            if a is not None:
-                np.add(d, np.einsum("xyzab,btxyz->atxyz", a, v, out=tmp), out=d)
+        for q, perm, phase, wrap, buf, views, scale, split in terms:
+            np.take(v, wrap, axis=q + 1, out=buf, mode="wrap")
+            _central(*views)
+            if split:  # a D~psi + D~(a psi): a psi on the halo, its stencil into the last buffer
+                np.multiply(dr, a, out=dr)
+                np.multiply(split[0], split[1], out=split[0])
+                np.add(views[1], _central(*split[2:]), out=views[1])
+            np.multiply(dr, scale, out=dr)
             for c in range(4):
                 out[c] -= np.multiply(d[perm[c]], phase[c], out=tmp[0])
-        if a0 is not None:
-            out -= np.einsum("xyzab,btxyz->atxyz", a0, v, out=tmp)
-        if isinstance(u0, np.ndarray):
-            np.divide(out, u0, out=out)
         return out
 
     return rhs, bufs[:stages]
@@ -332,7 +331,7 @@ def closed_form_current_norm(psi_values: np.ndarray, k: PhysicalConstants) -> np
     """
     p = np.asarray(psi_values)
     t = np.abs(p[..., 0]) ** 2 * np.abs(p[..., 2]) ** 2 + np.abs(p[..., 1]) ** 2 * np.abs(p[..., 3]) ** 2
-    x = np.conj(p[..., 1])
+    x = np.asarray(np.conj(p[..., 1]))  # one (4,) sample conjugates to a scalar, not an out= target
     np.multiply(x, p[..., 0], out=x)
     np.multiply(x, p[..., 3], out=x)
     np.multiply(x, np.conj(p[..., 2]), out=x)

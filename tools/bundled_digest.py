@@ -13,7 +13,10 @@ charts no bundled scenario reaches: the ``build_background`` arrays of sin
 and linear charts with the values of their concordance, torsion and frame
 orthonormality residuals, and ``evolve``, ``current`` with ``divergence``,
 ``action_value``, ``dirac_residual`` and ``covariant_derivative`` on curved
-and flat grids, 1D and 3D; ``sample_on_slice``, ``flux`` and ``gram`` on a
+and flat grids, 1D and 3D (the curved ones on sin charts, where ``evolve``
+marches the skew split form; a linear chart's bounded x1 raises ChartError
+there, so that profile is probed through its background only);
+``sample_on_slice``, ``flux`` and ``gram`` on a
 flat (8, 8, 1) grid for an x1 tilt, a tilt along the suppressed x3 and an
 off-node coordinate slice, where ``gram`` pairs each mode's
 ``sample_on_slice`` samples; and the ``operator_matrix`` arrays with the
