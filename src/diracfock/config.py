@@ -19,6 +19,7 @@ SUITE_NAMES = ("identities", "connection", "evolve", "current", "pairing", "fock
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "evolution_error": 1e-6,
+    "discrete_solution": 1e-12,
     "ratio_low": 12.0,
     "ratio_high": 20.0,
     "norm_drift": 1e-8,

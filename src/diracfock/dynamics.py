@@ -93,16 +93,10 @@ def evolve(
     initial = np.asarray(initial, dtype=np.complex128)
     if initial.shape != bg.chart.spatial_shape + (4,):
         raise ValueError("initial data does not match the chart's spatial grid")
-    return SpinorField(chart=bg.chart, values=_history(initial, bg, k, growth_abort))
-
-
-def _history(initial: np.ndarray, bg: Background, k: PhysicalConstants, growth_abort: float, every: int = 1):
-    """Every ``every``-th state of _march: evolve(...).values[::every] without the other rows."""
-    rows = np.empty(((len(bg.chart.axes[0]) - 1) // every + 1,) + initial.shape, dtype=np.complex128)
+    values = np.empty((len(bg.chart.axes[0]),) + initial.shape, dtype=np.complex128)
     for n, v in enumerate(_march(initial, bg, k, growth_abort)):
-        if n % every == 0:
-            rows[n // every] = v
-    return rows
+        values[n] = v
+    return SpinorField(chart=bg.chart, values=values)
 
 
 def _operator(bg: Background, k: PhysicalConstants, shape: tuple[int, ...], stages: int):
@@ -114,25 +108,27 @@ def _operator(bg: Background, k: PhysicalConstants, shape: tuple[int, ...], stag
     as 1 / (12 h) on a real view is numpy's complex divide.  The x1 sum a D~psi + D~(a psi) of
     the periodic stencil D~ is scaled once by 1 / (24 h), so L = -L^H bit for bit; on the flat
     chart a is 1 and never applied.  A bounded spatial axis raises ChartError.  Every buffer,
-    the derivatives, a scratch and one halo shared by the axes included, is a view of one
-    allocation, freed whole: separate buffers freed in the heap's middle stay resident."""
+    the derivatives, one halo and one 8 x scratch of the stencil (shared by the axes in turn)
+    included, is a view of one allocation, freed whole: separate buffers freed in the heap's
+    middle stay resident."""
     chart, size, curved = bg.chart, int(np.prod(shape)), not bg.is_flat
     if not all(chart.periodic[1:]):
         raise ChartError("the march needs every spatial axis periodic")
     g0, a = _GAMMA_ROWS[0], np.sqrt(bg.metric[..., 0, 0]) if curved else 1.0  # on the x1 column (n1, 1, 1)
     mass = [(p, m * a if curved else m) for p, m in zip(g0.perm.tolist(), (-1j * k.compton_wavenumber * g0.phase).tolist())]
     axes = [q for q in (1, 2, 3) if shape[q + 1] > 1]
-    count = stages + 2 + (curved and 1 in axes)  # the split form's D~(a psi) takes one more
-    halo_size = max([size // shape[q + 1] * (shape[q + 1] + 4) for q in axes], default=0)
-    block = np.empty(count * size + halo_size, dtype=np.complex128)
+    count = stages + 1 + (curved and 1 in axes)  # the split form's D~(a psi) takes one more
+    halo = max([size // shape[q + 1] * (shape[q + 1] + 4) for q in axes], default=0)
+    block = np.empty(count * size + 2 * halo, dtype=np.complex128)
     bufs = [block[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
-    d, tmp, pool = bufs[stages], bufs[stages + 1], block[count * size :]
+    d, (pool, scratch) = bufs[stages], block[count * size :].reshape(2, halo)
+    tmp = scratch[: size // 4].reshape(shape[1:]) if axes else None  # a plane for the phase products
     dr = d.view(np.float64)  # a and the scales vary along x1 at most, so they scale the real view
     terms = []  # per spatial q: q, gamma^0 gamma^q, the halo, its stencil views, the split form's x1 views
     for q in axes:
         rows, n, wrap = g0 @ _GAMMA_ROWS[q], shape[q + 1], np.arange(-2, shape[q + 1] + 2)
-        buf = pool[: size // n * (n + 4)].reshape(shape[: q + 1] + (n + 4,) + shape[q + 2 :])
-        views = [np.moveaxis(b, q + 1, 0) for b in (buf, d, tmp)]
+        buf, eight = (b[: size // n * r].reshape(shape[: q + 1] + (r,) + shape[q + 2 :]) for b, r in ((pool, n + 4), (scratch, n + 2)))
+        views = [np.moveaxis(b, q + 1, 0) for b in (buf, d, eight)]
         split = curved and q == 1 and (buf.view(np.float64), a[wrap % n], views[0], np.moveaxis(bufs[-1], 2, 0), views[2])
         scale = (1.0 if split else a) / ((24.0 if split else 12.0) * chart.spacing[q])
         terms.append((q, rows.perm.tolist(), rows.phase.tolist(), wrap, buf, views, scale, split))
@@ -149,7 +145,7 @@ def _operator(bg: Background, k: PhysicalConstants, shape: tuple[int, ...], stag
                 np.add(views[1], _central(*split[2:]), out=views[1])
             np.multiply(dr, scale, out=dr)
             for c in range(4):
-                out[c] -= np.multiply(d[perm[c]], phase[c], out=tmp[0])
+                out[c] -= np.multiply(d[perm[c]], phase[c], out=tmp)
         return out
 
     return rhs, bufs[:stages]
@@ -507,6 +503,35 @@ def _wave_numbers(chart: MetricChart, k_index: tuple[int, int, int]) -> np.ndarr
             length = n * chart.spacing[ax + 1]
             kk[ax] = 2.0 * np.pi * k_index[ax] / length
     return kk
+
+
+def _rk4_gain(z: complex) -> complex:
+    """RK4's factor per step on y' = (z / dt) y: R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+
+
+def _plane_wave_split(
+    initial: np.ndarray, chart: MetricChart, k_index: tuple[int, int, int], k: PhysicalConstants
+) -> tuple[float, np.ndarray]:
+    """The march of plane-wave initial data e^{ik.x} u in closed form.
+
+    On the periodic flat chart the stencil takes e^{ik.x} to i kappa e^{ik.x},
+    kappa_q = (8 sin k_q h - sin 2 k_q h) / (6 h) (Trefethen, SIAM Rev. 24
+    (1982) 113; 0 on a suppressed axis), so the march's right-hand side is
+    -iH with H = mu gamma^0 + sum_q kappa_q gamma^0 gamma^q, and H^2 = w^2 with
+    w = sqrt(mu^2 + |kappa|^2).  Returns w and the parts (initial P+,
+    initial P-), stacked, of P+- = (1 +- H / w) / 2: the semi-discrete flow
+    reaches e^{-iwt} P+ + e^{iwt} P- at time t, and n RK4 steps of dt reach
+    R(-iw dt)^n P+ + R(iw dt)^n P- (``_rk4_gain``).
+    """
+    h = np.array(chart.spacing[1:])
+    theta = _wave_numbers(chart, k_index) * h
+    kappa = (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * h)
+    g = FRAME.gamma
+    mu = k.compton_wavenumber
+    w = float(np.sqrt(mu * mu + kappa @ kappa))
+    plus = (np.eye(4) + (mu * g[0] + sum(kappa[q] * g[0] @ g[q + 1] for q in range(3))) / w) / 2.0
+    return w, np.stack((initial @ plus.T, initial @ (np.eye(4) - plus).T))
 
 
 def plane_wave(

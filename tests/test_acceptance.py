@@ -125,7 +125,13 @@ def test_acceptance_4_plane_wave_evolution(tmp_path, capsys):
         code, entries = run_scenario_checks(name, str(tmp_path / name))
         ok = ok and code == 0 and all(e["passed"] for e in entries)
         checks = {e["check"] for e in entries}
-        for needed in ("m1_evolution_error", "m1_halving_ratio", "m1_norm_drift", "m1_max_divergence"):
+        for needed in (
+            "m1_evolution_error",
+            "m1_discrete_solution",
+            "m1_halving_ratio",
+            "m1_norm_drift",
+            "m1_max_divergence",
+        ):
             ok = ok and needed in checks
     capsys.readouterr()
     elapsed_ok = time.time() - started < 120.0

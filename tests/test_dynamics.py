@@ -132,6 +132,25 @@ def test_evolve_time_error_shrinks_at_fourth_order(nat):
     assert 12.0 <= e1 / e2 <= 20.0
 
 
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("spin", [0, 1])
+def test_march_equals_the_closed_form_rk4_solution_of_a_plane_wave(nat, spin, branch):
+    # e^{ik.x} u is an eigenvector of the periodic stencil with k -> kappa, so n
+    # RK4 steps take it to R(-iw dt)^n P+ + R(iw dt)^n P-; k along two axes puts
+    # two gamma^0 gamma^q terms into H, and at 8 nodes per box kappa is far from
+    # k, so the continuum spinor u has a part of 3 % on the other discrete branch
+    chart = flat_chart(shape=(8, 8, 8), t_span=0.5, steps=50)
+    initial = plane_wave(chart, (1, 2, 0), nat, spin=spin, branch=branch).values[0]
+    out = evolve(initial, build_background(chart), nat).values
+    w, (plus, minus) = dynamics._plane_wave_split(initial, chart, (1, 2, 0), nat)
+    assert np.max(np.abs(minus if branch > 0 else plus)) > 1e-3 * np.max(np.abs(initial))
+    assert w < np.sqrt(1.0 + 5.0)  # the stencil's kappa_q lies below k_q
+    z = 1j * w * chart.dt
+    for n, row in enumerate(out):
+        want = dynamics._rk4_gain(-z) ** n * plus + dynamics._rk4_gain(z) ** n * minus
+        assert np.max(np.abs(row - want)) <= 1e-13
+
+
 def test_evolve_aborts_on_unstable_step(nat):
     # dt = 0.5 puts the k = 8 carrier far outside the RK4 stability region
     chart = flat_chart(t_span=10.0, steps=20)

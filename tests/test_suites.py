@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 
-from diracfock import PhysicalConstants, build_background, evolve, minkowski_chart, plane_wave
-from diracfock.dynamics import _history
-from diracfock.suites import _DRAW, _complex_normal
+from diracfock import PhysicalConstants, dynamics, minkowski_chart, plane_wave
+from diracfock.config import _constants, parse_config
+from diracfock.dynamics import _plane_wave_split
+from diracfock.suites import _DRAW, _closed_form_gaps, _complex_normal, suite_evolve
 
 
 def test_complex_normal_equals_two_draw_expression_bit_for_bit():
@@ -37,23 +38,63 @@ def test_complex_normal_holds_the_output_and_one_scratch():
         assert peak <= out.nbytes + 8 * _DRAW + 2**14
 
 
-def test_refined_runs_keep_only_the_base_axis_rows():
-    # The evolve suite's dt/2 and dt/4 runs on a (101, 64) base history: the
-    # two kept arrays of base-axis rows and the march's RK4 stages measured
-    # 2.11 histories; the bound leaves 0.19.  Keeping both full evolve
-    # histories, 2 and 4 of them, measured 6.08.
+EVOLVE_TWO_MODES = """
+[scenario]
+suites = evolve
+[chart]
+t_span = 1.0
+steps = 100
+shape = 64 1 1
+[modes]
+m1 = 0 0 0 0 +1
+m2 = 1 0 0 1 -1
+"""
+
+
+def test_suite_evolve_marches_each_mode_once(monkeypatch):
+    # one march per mode on the scenario's own time axis: no dt/2 or dt/4 runs
+    cfg = parse_config(EVOLVE_TWO_MODES)
+    march, steps = dynamics._march, []
+
+    def spy(initial, bg, k, growth_abort):
+        steps.append(len(bg.chart.axes[0]) - 1)
+        return march(initial, bg, k, growth_abort)
+
+    monkeypatch.setattr(dynamics, "_march", spy)
+    results, _ = suite_evolve(cfg, _constants(cfg))
+    assert steps == [100, 100]
+    assert all(r.passed for r in results)
+
+
+def test_discrete_solution_row_sees_one_perturbed_state(monkeypatch):
+    # 1e-10 on every sample of one state is 100x the row's bound, and the row
+    # reads it to rounding; the unperturbed run read 1.6e-15
+    cfg = parse_config(EVOLVE_TWO_MODES)
+    march = dynamics._march
+
+    def perturbed(*args):
+        for n, state in enumerate(march(*args)):
+            yield state + 1e-10 if n == 37 else state
+
+    rows = {r.name: r for r in suite_evolve(cfg, _constants(cfg))[0]}
+    assert rows["m1_discrete_solution"].passed and rows["m1_discrete_solution"].value < 1e-13
+    monkeypatch.setattr(dynamics, "_march", perturbed)
+    rows = {r.name: r for r in suite_evolve(cfg, _constants(cfg))[0]}
+    assert not rows["m1_discrete_solution"].passed
+    assert abs(rows["m1_discrete_solution"].value - 1e-10) < 1e-13
+
+
+def test_closed_form_gaps_take_blocks_of_rows():
+    # A (1001, 256) history of 16.4 MB: the closed forms are built 16 rows at a
+    # time and measured 0.071 of it; one of them built whole is a history.
     k = PhysicalConstants.natural_units(mass=1.0)
-    base = minkowski_chart(0.0, 0.5, 100, (4.0 * np.pi, 2.0 * np.pi, 2.0 * np.pi), (64, 1, 1))
-    initial = plane_wave(base, (1, 0, 0), k).values[0]
-    bgs = {m: build_background(base.with_time_axis(0.0, 0.5, 100 * m)) for m in (2, 4)}
-    want = {m: evolve(initial, bgs[m], k).values[::m] for m in (2, 4)}
-    history = want[2].nbytes
+    chart = minkowski_chart(0.0, 5.0, 1000, (4.0 * np.pi, 2.0 * np.pi, 2.0 * np.pi), (256, 1, 1))
+    exact = plane_wave(chart, (1, 0, 0), k)
+    w, parts = _plane_wave_split(exact.values[0], chart, (1, 0, 0), k)
     tracemalloc.start()
     try:
-        half = _history(initial, bgs[2], k, 10.0, 2)
-        ref = _history(initial, bgs[4], k, 10.0, 4)
+        _closed_form_gaps(exact.values, chart.dt, w, parts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(half, want[2]) and np.array_equal(ref, want[4])
-    assert peak < 2.3 * history
+    assert peak < 0.1 * exact.values.nbytes
