@@ -19,7 +19,6 @@ SUITE_NAMES = ("identities", "connection", "evolve", "current", "pairing", "fock
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "evolution_error": 1e-6,
-    "discrete_solution": 1e-12,
     "ratio_low": 12.0,
     "ratio_high": 20.0,
     "norm_drift": 1e-8,
@@ -290,10 +289,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         # Every chart a selected suite builds must build (the g00 rule built the
         # connection suite's): far from 0, rounding can collapse an axis.
         if "evolve" in cfg.suites or "pairing" in cfg.suites:
-            chart = cfg.build_chart()
-            if "evolve" in cfg.suites:
-                for mult in (2, 4):
-                    chart.with_time_axis(cfg.t_start, cfg.t_span, cfg.steps * mult)
+            cfg.build_chart()
     except ChartError as exc:
         raise ConfigError("chart: %s" % exc) from exc
 

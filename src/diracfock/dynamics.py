@@ -108,27 +108,25 @@ def _operator(bg: Background, k: PhysicalConstants, shape: tuple[int, ...], stag
     as 1 / (12 h) on a real view is numpy's complex divide.  The x1 sum a D~psi + D~(a psi) of
     the periodic stencil D~ is scaled once by 1 / (24 h), so L = -L^H bit for bit; on the flat
     chart a is 1 and never applied.  A bounded spatial axis raises ChartError.  Every buffer,
-    the derivatives, one halo and one 8 x scratch of the stencil (shared by the axes in turn)
-    included, is a view of one allocation, freed whole: separate buffers freed in the heap's
-    middle stay resident."""
+    the derivatives, a scratch and one halo shared by the axes included, is a view of one
+    allocation, freed whole: separate buffers freed in the heap's middle stay resident."""
     chart, size, curved = bg.chart, int(np.prod(shape)), not bg.is_flat
     if not all(chart.periodic[1:]):
         raise ChartError("the march needs every spatial axis periodic")
     g0, a = _GAMMA_ROWS[0], np.sqrt(bg.metric[..., 0, 0]) if curved else 1.0  # on the x1 column (n1, 1, 1)
     mass = [(p, m * a if curved else m) for p, m in zip(g0.perm.tolist(), (-1j * k.compton_wavenumber * g0.phase).tolist())]
     axes = [q for q in (1, 2, 3) if shape[q + 1] > 1]
-    count = stages + 1 + (curved and 1 in axes)  # the split form's D~(a psi) takes one more
-    halo = max([size // shape[q + 1] * (shape[q + 1] + 4) for q in axes], default=0)
-    block = np.empty(count * size + 2 * halo, dtype=np.complex128)
+    count = stages + 2 + (curved and 1 in axes)  # the split form's D~(a psi) takes one more
+    halo_size = max([size // shape[q + 1] * (shape[q + 1] + 4) for q in axes], default=0)
+    block = np.empty(count * size + halo_size, dtype=np.complex128)
     bufs = [block[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
-    d, (pool, scratch) = bufs[stages], block[count * size :].reshape(2, halo)
-    tmp = scratch[: size // 4].reshape(shape[1:]) if axes else None  # a plane for the phase products
+    d, tmp, pool = bufs[stages], bufs[stages + 1], block[count * size :]
     dr = d.view(np.float64)  # a and the scales vary along x1 at most, so they scale the real view
     terms = []  # per spatial q: q, gamma^0 gamma^q, the halo, its stencil views, the split form's x1 views
     for q in axes:
         rows, n, wrap = g0 @ _GAMMA_ROWS[q], shape[q + 1], np.arange(-2, shape[q + 1] + 2)
-        buf, eight = (b[: size // n * r].reshape(shape[: q + 1] + (r,) + shape[q + 2 :]) for b, r in ((pool, n + 4), (scratch, n + 2)))
-        views = [np.moveaxis(b, q + 1, 0) for b in (buf, d, eight)]
+        buf = pool[: size // n * (n + 4)].reshape(shape[: q + 1] + (n + 4,) + shape[q + 2 :])
+        views = [np.moveaxis(b, q + 1, 0) for b in (buf, d, tmp)]
         split = curved and q == 1 and (buf.view(np.float64), a[wrap % n], views[0], np.moveaxis(bufs[-1], 2, 0), views[2])
         scale = (1.0 if split else a) / ((24.0 if split else 12.0) * chart.spacing[q])
         terms.append((q, rows.perm.tolist(), rows.phase.tolist(), wrap, buf, views, scale, split))
@@ -145,7 +143,7 @@ def _operator(bg: Background, k: PhysicalConstants, shape: tuple[int, ...], stag
                 np.add(views[1], _central(*split[2:]), out=views[1])
             np.multiply(dr, scale, out=dr)
             for c in range(4):
-                out[c] -= np.multiply(d[perm[c]], phase[c], out=tmp)
+                out[c] -= np.multiply(d[perm[c]], phase[c], out=tmp[0])
         return out
 
     return rhs, bufs[:stages]

@@ -30,41 +30,32 @@ def differentiate(values: np.ndarray, axis: int, spacing: float, periodic: bool)
     if n < 5:
         raise ValueError(f"axis {axis} has {n} nodes, need at least 5 for the stencil")
 
-    # Integer data is promoted once, so the sums can be scaled in place; ``out`` is
-    # C-contiguous in the moved axis order, so a complex one has a real view.
+    # Integer data is promoted once, so the sums can be scaled in place.
     moved = np.moveaxis(np.asarray(values, dtype=np.result_type(values, 1.0)), axis, 0)
-    out = np.empty(moved.shape, dtype=moved.dtype)
     if periodic:
         # Central weights on every node, through a 2-node wraparound halo.
         src = np.concatenate((moved[n - 2 :], moved, moved[:2]))
-        _central(src, out, np.empty_like(src[: n + 2]))
+        out = _central(src, np.empty_like(src[:n]), np.empty_like(src[:n]))
     else:
         # The same on the interior rows; the far end rows mirror the near ones
         # with negated weights, which is exactly 0 - w0 x0 - w1 x1 - ...
-        _central(moved, out[2 : n - 2], np.empty_like(moved[2:]))
+        out = np.empty_like(moved)
+        _central(moved, out[2 : n - 2], np.empty_like(moved[4:]))
         for i, weights in enumerate((_EDGE0, _EDGE1)):
             out[i] = sum(w * moved[k] for k, w in enumerate(weights))
             out[n - 1 - i] = sum(-w * moved[n - 1 - k] for k, w in enumerate(weights))
-    if np.iscomplexobj(out):
-        # numpy's complex quotient by a real is this product by the reciprocal
-        # (signed zeros and non-finite parts aside); real sums keep the divide.
-        parts = out.view(out.real.dtype)
-        np.multiply(parts, 1.0 / (12.0 * spacing), out=parts)
-    else:
-        np.divide(out, 12.0 * spacing, out=out)
+    np.divide(out, 12.0 * spacing, out=out)
     return np.moveaxis(out, 0, axis)
 
 
-def _central(src: np.ndarray, out: np.ndarray, eight: np.ndarray) -> np.ndarray:
+def _central(src: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The central weights (1, -8, 0, 8, -1) along axis 0 into ``out``, as
     ((x[i-2] - 8 x[i-1]) + 8 x[i+1]) - x[i+2], from ``src`` holding out's rows
-    behind a 2-row halo on each side.  ``eight`` is scratch of two rows more
-    than ``out``: 8 x is formed once over the inner rows, and the x 8 is exact,
-    so four passes give the bits of the five-pass sum.  The caller scales by
-    1 / (12 h)."""
+    behind a 2-row halo on each side; ``tmp`` is scratch of out's shape.  The
+    caller divides by 12 h."""
     n = len(out)
-    np.multiply(src[1 : n + 3], 8, out=eight)
-    np.subtract(src[:n], eight[:n], out=out)
-    out += eight[2:]
+    np.subtract(src[:n], np.multiply(src[1 : n + 1], 8, out=tmp), out=out)
+    out += np.multiply(src[3 : n + 3], 8, out=tmp)
     out -= src[4 : n + 4]
     return out
+

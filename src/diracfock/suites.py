@@ -92,6 +92,12 @@ def _rng(cfg: ScenarioConfig, suite: str) -> np.random.Generator:
 # per-call cost to the evolve suite's 71 full-history draws.
 _DRAW = 16 * _BLOCK
 
+# The march's rounding drifts from its closed-form solution by about 1e-17 a
+# step (1.1e-14 after 1000 steps of flat_rest_wave, 1.1e-12 after 100 000),
+# so the `closed_form` bound covers this many steps and grows in proportion
+# beyond them.
+_ROUNDED_STEPS = 1000
+
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """rng.standard_normal(shape) + 1j * rng.standard_normal(shape), bit for bit,
@@ -257,7 +263,8 @@ def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
         # dt/2 (there in closed form) for a 4th-order integrator.
         split = _plane_wave_split(exact.values[0], base_chart, mode.k_index, k)
         gap, e1, e2 = _closed_form_gaps(out.values, base_chart.dt, *split)
-        results.append(check_at_most(s, label + "_discrete_solution", gap, cfg.tol("discrete_solution")))
+        bound = cfg.tol("closed_form") * max(1.0, cfg.steps / _ROUNDED_STEPS)
+        results.append(check_at_most(s, label + "_discrete_solution", gap, bound))
         ratio = e1 / e2 if e2 else float("nan")  # a step so short that RK4 rounds to the flow
         results.append(check_in(s, label + "_halving_ratio", ratio, cfg.tol("ratio_low"), cfg.tol("ratio_high")))
 

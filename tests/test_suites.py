@@ -84,6 +84,18 @@ def test_discrete_solution_row_sees_one_perturbed_state(monkeypatch):
     assert abs(rows["m1_discrete_solution"].value - 1e-10) < 1e-13
 
 
+def test_discrete_solution_bound_grows_with_the_steps():
+    # the march's rounding drifts from its closed form by about 1.1e-17 a
+    # step, 4.5e-14 after 4000 steps of this rest wave: a bound fixed at
+    # closed_form = 2e-14 would fail a correct march, 4000 / 1000 times it holds
+    cfg = parse_config(
+        "[scenario]\nsuites = evolve\n[chart]\nt_span = 40\nsteps = 4000\nshape = 8 1 1\n"
+        "[tolerances]\nclosed_form = 2e-14\n[modes]\nm1 = 0 0 0 0 +1\n"
+    )
+    row = {r.name: r for r in suite_evolve(cfg, _constants(cfg))[0]}["m1_discrete_solution"]
+    assert row.passed and 2e-14 < row.value and row.bound == "<= 8.0000000000e-14"
+
+
 def test_closed_form_gaps_take_blocks_of_rows():
     # A (1001, 256) history of 16.4 MB: the closed forms are built 16 rows at a
     # time and measured 0.071 of it; one of them built whole is a history.
