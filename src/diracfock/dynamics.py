@@ -518,8 +518,7 @@ def _plane_wave_split(
     (1982) 113; 0 on a suppressed axis), so the march's right-hand side is
     -iH with H = mu gamma^0 + sum_q kappa_q gamma^0 gamma^q, and H^2 = w^2 with
     w = sqrt(mu^2 + |kappa|^2).  Returns w and the parts (initial P+,
-    initial P-), stacked, of P+- = (1 +- H / w) / 2: the semi-discrete flow
-    reaches e^{-iwt} P+ + e^{iwt} P- at time t, and n RK4 steps of dt reach
+    initial P-), stacked, of P+- = (1 +- H / w) / 2: n RK4 steps of dt reach
     R(-iw dt)^n P+ + R(iw dt)^n P- (``_rk4_gain``).
     """
     h = np.array(chart.spacing[1:])

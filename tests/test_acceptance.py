@@ -128,7 +128,6 @@ def test_acceptance_4_plane_wave_evolution(tmp_path, capsys):
         for needed in (
             "m1_evolution_error",
             "m1_discrete_solution",
-            "m1_halving_ratio",
             "m1_norm_drift",
             "m1_max_divergence",
         ):

@@ -4,10 +4,21 @@ import tracemalloc
 
 import numpy as np
 
-from diracfock import PhysicalConstants, dynamics, minkowski_chart, plane_wave
+from diracfock import (
+    PhysicalConstants,
+    SpinorField,
+    build_background,
+    dynamics,
+    evolve,
+    grid_norm,
+    minkowski_chart,
+    plane_wave,
+    suites,
+)
 from diracfock.config import _constants, parse_config
 from diracfock.dynamics import _plane_wave_split
-from diracfock.suites import _DRAW, _closed_form_gaps, _complex_normal, suite_evolve
+from diracfock.spin_algebra import _GAMMA_ROWS, _apply
+from diracfock.suites import _DRAW, _complex_normal, _wave_gaps, suite_evolve
 
 
 def test_complex_normal_equals_two_draw_expression_bit_for_bit():
@@ -96,17 +107,66 @@ def test_discrete_solution_bound_grows_with_the_steps():
     assert row.passed and 2e-14 < row.value and row.bound == "<= 8.0000000000e-14"
 
 
-def test_closed_form_gaps_take_blocks_of_rows():
-    # A (1001, 256) history of 16.4 MB: the closed forms are built 16 rows at a
-    # time and measured 0.071 of it; one of them built whole is a history.
+def test_wave_gaps_take_blocks_of_rows():
+    # A (1001, 256) history of 16.4 MB, 16 rows a block: the evolution error
+    # and the norms are those of the whole history, and the pass measured 0.052
+    # of it; the whole-history error alone built 24.6 MB of temporaries.
     k = PhysicalConstants.natural_units(mass=1.0)
     chart = minkowski_chart(0.0, 5.0, 1000, (4.0 * np.pi, 2.0 * np.pi, 2.0 * np.pi), (256, 1, 1))
     exact = plane_wave(chart, (1, 0, 0), k)
+    out = evolve(exact.values[0], build_background(chart), k).values
     w, parts = _plane_wave_split(exact.values[0], chart, (1, 0, 0), k)
     tracemalloc.start()
     try:
-        _closed_form_gaps(exact.values, chart.dt, w, parts)
+        err, gap, norms = _wave_gaps(out, exact.values, chart, w, parts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.1 * exact.values.nbytes
+    assert peak < 0.1 * out.nbytes
+    assert err == np.max(np.abs(out - exact.values)) and gap < 1e-13
+    assert np.array_equal(norms, [grid_norm(row, chart) for row in out])
+
+
+def flat_rk4(weights=(1.0, 2.0, 2.0, 1.0), mass_sign=1.0):
+    """An ``evolve`` for 1D flat charts: the flat branch of test_dynamics.reference_march,
+    RK4 on the (n1, 1, 1, 4) samples, with its stage weights (k1, k2, k3, k4) and the
+    sign of its mass as parameters."""
+
+    def march(initial, bg, k, growth_abort=10.0):
+        chart = bg.chart
+        dt, mu, h = chart.dt, mass_sign * k.compton_wavenumber, chart.spacing[1]
+
+        def rhs(v):
+            r = lambda shift: np.roll(v, shift, axis=0)
+            term = (r(2) - 8 * r(1) + 8 * r(-1) - r(-2)) / (12.0 * h)
+            return _apply(_GAMMA_ROWS[0], (-1j * mu) * v - _apply(_GAMMA_ROWS[1], term))
+
+        states = [initial]
+        for _ in range(len(chart.axes[0]) - 1):
+            v = states[-1]
+            k1 = rhs(v)
+            k2 = rhs(v + (0.5 * dt) * k1)
+            k3 = rhs(v + (0.5 * dt) * k2)
+            k4 = rhs(v + dt * k3)
+            a, b, c, d = weights
+            states.append(v + (dt / 6.0) * (a * k1 + b * k2 + c * k3 + d * k4))
+        return SpinorField(chart=chart, values=np.stack(states))
+
+    return march
+
+
+def test_discrete_solution_row_catches_the_march_mutants(monkeypatch):
+    # measured 1.06e-15 unmutated (the real march's value), 6.65e-6 with
+    # RK4's 2 k3 written as 2 k2 and 0.394 with the mass sign flipped
+    cfg = parse_config(
+        "[scenario]\nsuites = evolve\n[chart]\nt_span = 1.0\nsteps = 100\nshape = 64 1 1\n"
+        "[modes]\nm1 = 1 0 0 0 +1\n"
+    )
+    for stepper, passed in (
+        (flat_rk4(), True),
+        (flat_rk4(weights=(1.0, 4.0, 0.0, 1.0)), False),
+        (flat_rk4(mass_sign=-1.0), False),
+    ):
+        monkeypatch.setattr(suites, "evolve", stepper)
+        row = {r.name: r for r in suite_evolve(cfg, _constants(cfg))[0]}["m1_discrete_solution"]
+        assert row.passed == passed, row.value
