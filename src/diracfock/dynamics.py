@@ -218,6 +218,9 @@ def _pair_plan(same: bool):
     return pairs, terms
 
 
+_PAIR_PLANS = {same: _pair_plan(same) for same in (False, True)}
+
+
 def _raw_pair_current(phi_values: np.ndarray, psi_values: np.ndarray, k: PhysicalConstants) -> np.ndarray:
     """c phi^dagger D^T gamma^q psi for q = 0..3, complex, shape (..., 4).
 
@@ -231,7 +234,7 @@ def _raw_pair_current(phi_values: np.ndarray, psi_values: np.ndarray, k: Physica
     psi = phi if same else np.asarray(psi_values, dtype=np.complex128)
     shape = phi.shape
     phi, psi = phi.reshape(-1, 4), psi.reshape(-1, 4)
-    pairs, terms = _pair_plan(same)
+    pairs, terms = _PAIR_PLANS[same]
 
     n = min(_BLOCK, len(phi))
     x = np.empty((2, 4, n))  # re, im of each spinor component
@@ -263,8 +266,9 @@ def _raw_pair_current(phi_values: np.ndarray, psi_values: np.ndarray, k: Physica
 
 class _RealityGuard:
     """The reality rule of a current taken block by block: the running max |J| and
-    max |Im J| of its blocks, and ``check``, which raises CurrentRealityError when
-    max |Im J| exceeds 1e-13 relative to max(1, |J|).  NaN propagates as in np.max."""
+    max |Im J| of its blocks, their ``residual`` max |Im J| / max(1, max |J|), and
+    ``check``, which raises CurrentRealityError when the residual exceeds 1e-13.
+    NaN propagates as in np.max."""
 
     def __init__(self):
         self.abs_max = self.imag_max = 0.0
@@ -276,11 +280,12 @@ class _RealityGuard:
             self.imag_max = np.maximum(self.imag_max, np.max(np.abs(j.imag)))
         return j.real
 
+    def residual(self) -> float:
+        return float(self.imag_max) / max(1.0, float(self.abs_max))
+
     def check(self) -> None:
-        scale = max(1.0, float(self.abs_max))
-        imag = float(self.imag_max)
-        if imag > 1e-13 * scale:
-            raise CurrentRealityError(f"current reality violated: max imaginary part {imag:.3e}")
+        if self.residual() > 1e-13:
+            raise CurrentRealityError(f"current reality violated: max imaginary part {float(self.imag_max):.3e}")
 
 
 def _block_rows(spatial: tuple[int, ...], halo: bool = False) -> int:
@@ -341,7 +346,7 @@ class TimelikeReport:
     min_norm: float
     min_time_component: float
     closed_form_mismatch: float
-    reality_residual: float
+    reality_residual: float    # max |Im J| / max(1, max |J|), the rule of current
     samples: int
 
 
@@ -350,19 +355,20 @@ def timelike_report(psi_values: np.ndarray, k: PhysicalConstants) -> TimelikeRep
 
     Takes raw spinor samples of shape (..., 4); the current is evaluated
     pointwise, its norm both by metric contraction and by the quartic closed
-    form, and the worst relative mismatch is reported.  The samples are taken
-    _BLOCK at a time, so no temporary spans the input; the extrema of the
-    blocks fold with np.minimum / np.maximum, so a NaN spreads as in np.min.
+    form, and the worst relative mismatch is reported, with current's reality
+    residual.  The samples are taken _BLOCK at a time, so no temporary spans
+    the input; the extrema of the blocks fold with np.minimum / np.maximum, so
+    a NaN spreads as in np.min.
     """
     p = np.asarray(psi_values, dtype=np.complex128).reshape(-1, 4)
     if not len(p):
         raise ValueError("timelike_report needs at least one sample")
     min_norm = min_time = np.inf
-    mismatch = reality = 0.0
+    mismatch = 0.0
+    guard = _RealityGuard()
     for s in range(0, len(p), _BLOCK):
         rows = p[s : s + _BLOCK]
-        j = _raw_pair_current(rows, rows, k)
-        jr = j.real
+        jr = guard.real(_raw_pair_current(rows, rows, k))
         norm_direct = current_norm(jr)
         norm_closed = closed_form_current_norm(rows, k)
         denom = np.maximum(np.maximum(np.abs(norm_direct), np.abs(norm_closed)), jr[:, 0] ** 2)
@@ -370,8 +376,7 @@ def timelike_report(psi_values: np.ndarray, k: PhysicalConstants) -> TimelikeRep
         min_norm = np.minimum(min_norm, np.min(norm_direct))
         min_time = np.minimum(min_time, np.min(jr[:, 0]))
         mismatch = np.maximum(mismatch, np.max(np.abs(norm_direct - norm_closed) / denom))
-        reality = np.maximum(reality, np.max(np.abs(j.imag)))
-    return TimelikeReport(*map(float, (min_norm, min_time, mismatch, reality)), samples=len(p))
+    return TimelikeReport(*map(float, (min_norm, min_time, mismatch, guard.residual())), samples=len(p))
 
 
 def divergence(j: CurrentField, bg: Background) -> np.ndarray:

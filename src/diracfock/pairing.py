@@ -2,14 +2,14 @@
 
 The pairing depends only on data on the slice: inner, gram and orthonormalize
 take the samples that sample_on_slice takes from a spinor history.  On each
-x1 column a slice reads the time rows of one cubic time plan: a time node, or
-four rows and their weights.  One sampler, _slice_samples, takes a history as
-blocks of rows in time order and keeps only those rows: sample_on_slice and
-flux hand it a stored history as one block, and _streamed_fluxes the rows of J
-it takes block by block as a march yields the field."""
+x1 column a slice reads four time rows and their cubic weights.  One sampler,
+_slice_samples, takes a history as blocks of rows in time order and keeps only
+those rows: sample_on_slice and flux hand it a stored history as one block, and
+_streamed_fluxes the rows of J it takes block by block as a march yields it."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -103,93 +103,59 @@ def tilted_slice(bg: Background, t0: float, tilt: tuple[float, float, float]) ->
     return Slice(times=times, normal=normal, area_weights=weights)
 
 
-def _time_plan(taxis: np.ndarray, t: float) -> tuple[int, tuple[float, ...] | None]:
-    """The rows cubic interpolation at ``t`` reads: (node, None) at a time node,
-    else (first, weights) of the four rows first..first+3, clamped to the axis."""
+def _time_plan(taxis: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The four time rows cubic interpolation at ``t`` reads and their weights:
+    a time node's row four times with weights (1, 0, 0, 0), else four
+    consecutive rows, clamped to the axis, and their Lagrange weights."""
     nt = len(taxis)
     t0, t1 = float(taxis[0]), float(taxis[-1])
     tol = 1e-9 * max(1.0, abs(t0), abs(t1))
     if t < t0 - tol or t > t1 + tol:
         raise ValueError(f"time {t} outside the sampled range [{t0}, {t1}]")
-    if nt == 1:
-        return 0, None
-
-    dt = float(taxis[1] - taxis[0])
-    pos = (t - t0) / dt
-    nearest = int(round(pos))
-    if abs(pos - nearest) < 1e-12 and 0 <= nearest < nt:
-        return nearest, None
+    node, pos = 0, 0.0
+    if nt > 1:
+        pos = (t - t0) / float(taxis[1] - taxis[0])
+        node = int(round(pos))
+    if abs(pos - node) < 1e-12 and 0 <= node < nt:
+        return np.full(4, node), np.array([1.0, 0.0, 0.0, 0.0])
     if nt < 4:
         raise ValueError("need at least 4 snapshots for cubic interpolation")
 
-    first = int(np.floor(pos)) - 1
-    first = min(max(first, 0), nt - 4)
+    first = min(max(int(np.floor(pos)) - 1, 0), nt - 4)
     ts = taxis[first : first + 4]
-    weights = []
-    for j in range(4):
-        w = 1.0
-        for m in range(4):
-            if m != j:
-                w *= (t - ts[m]) / (ts[j] - ts[m])
-        weights.append(w)
-    return first, tuple(weights)
-
-
-def _apply_time_plan(rows: np.ndarray, weights: tuple[float, ...] | None) -> np.ndarray:
-    """The sample from a plan's rows: a copy of rows[0] at a time node, else
-    sum_j weights[j] rows[j], accumulated from zeros in order j = 0..3."""
-    if weights is None:
-        return rows[0].copy()
-    out = np.zeros_like(rows[0])
-    tmp = np.empty_like(out)
-    for w, row in zip(weights, rows):
-        out += np.multiply(w, row, out=tmp)
-    return out
-
-
-def _time_plans(taxis: np.ndarray, s: Slice) -> list[tuple[int, tuple[float, ...] | None]]:
-    """The time plan of each x1 column, or one plan for all columns when every
-    slice time rounds to the same value at 12 decimals."""
-    tvals = np.unique(np.round(s.times, 12))
-    if len(tvals) == 1:
-        return [_time_plan(taxis, float(tvals[0]))]
-    return [_time_plan(taxis, float(t)) for t in s.times]
-
-
-def _window_rows(plans: list, n1: int) -> np.ndarray:
-    """(4, n1) time rows of each column's window: the plan's four rows, or its node four times."""
-    rows = np.array([[first + r if w is not None else first for r in range(4)] for first, w in plans])
-    return np.ascontiguousarray(np.broadcast_to(rows.T, (4, n1)))
-
-
-def _sample(window: np.ndarray, plans: list) -> np.ndarray:
-    """Slice samples from a window (4, n1, n2, n3, ...) whose [r, i] is row r of column i's plan."""
-    if len(plans) == 1:
-        return _apply_time_plan(window, plans[0][1])
-    out = np.empty(window.shape[1:], dtype=window.dtype)
-    for i, (_, weights) in enumerate(plans):
-        out[i] = _apply_time_plan(window[:, i], weights)
-    return out
+    weights = [math.prod((t - ts[m]) / (ts[j] - ts[m]) for m in range(4) if m != j) for j in range(4)]
+    return first + np.arange(4), np.array(weights)
 
 
 def _slice_samples(blocks: Iterable[np.ndarray], taxis: np.ndarray, slices: list[Slice]) -> list[np.ndarray]:
     """Grid samples (n1, n2, n3, ...) on each slice, cubic in time between snapshots,
     of a history on ``taxis`` given as blocks of rows (m, n1, n2, n3, ...) in time
-    order.  Each slice keeps a window (4, n1, n2, n3, ...) of the rows its time plan
-    reads per x1 column, copied from the block that holds them; a block is not
-    read after the next one is drawn."""
-    plans = [_time_plans(taxis, s) for s in slices]
-    need = [_window_rows(p, len(s.times)) for p, s in zip(plans, slices)]
+    order.  Each distinct slice time has one time plan, and each slice keeps a
+    window (4, n1, n2, n3, ...) of the four rows its plans read per x1 column,
+    copied from the block that holds them; a block is not read after the next
+    one is drawn.  A sample is sum_j w_j row_j, accumulated from zeros in order
+    j = 0..3, so at a time node it equals the node's row for finite data."""
+    plans = []  # (4, n1) time rows and weights of each slice
+    for s in slices:
+        times, column = np.unique(s.times, return_inverse=True)
+        rows, weights = map(np.array, zip(*(_time_plan(taxis, float(t)) for t in times)))
+        plans.append((rows[column].T, weights[column].T))
     windows: list[np.ndarray] = []
     start = 0  # time row of the block's first row
     for block in blocks:
         if not windows:
             windows = [np.empty((4,) + block.shape[1:], dtype=block.dtype) for _ in slices]
-        for win, want in zip(windows, need):
+        for win, (want, _) in zip(windows, plans):
             r, i = np.nonzero((want >= start) & (want < start + len(block)))
             win[r, i] = block[want[r, i] - start, i]
         start += len(block)
-    return [_sample(win, p) for win, p in zip(windows, plans)]
+    samples = []
+    for win, (_, weights) in zip(windows, plans):
+        out = np.zeros(win.shape[1:], dtype=win.dtype)
+        for w, row in zip(weights.reshape(weights.shape + (1,) * (win.ndim - 2)), win):
+            out += w * row
+        samples.append(out)
+    return samples
 
 
 def _streamed_fluxes(rows: Iterable[np.ndarray], taxis: np.ndarray, slices: list[Slice], k: PhysicalConstants) -> list[float]:

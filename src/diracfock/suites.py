@@ -29,6 +29,7 @@ from .dynamics import (
     evolve,
     gaussian_packet,
     plane_wave,
+    timelike_report,
 )
 from .fields import SpinorField
 from .fock import (
@@ -305,8 +306,6 @@ def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
 
 
 def suite_current(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
-    from .dynamics import timelike_report
-
     results: list[CheckResult] = []
     s = "current"
     rng = _rng(cfg, s)
@@ -316,12 +315,7 @@ def suite_current(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     results.append(check_at_least(s, "norm_nonnegative", rep.min_norm, -cfg.tol("timelike_floor")))
     results.append(check_at_least(s, "time_component_nonnegative", rep.min_time_component, 0.0))
     results.append(check_at_most(s, "closed_form_mismatch", rep.closed_form_mismatch, cfg.tol("closed_form")))
-    blocks = range(0, len(samples), _BLOCK)
-    peak = np.max([np.max(np.sum(np.abs(samples[b : b + _BLOCK]) ** 2, axis=-1)) for b in blocks])
-    scale = max(1.0, k.c * float(peak))
-    results.append(
-        check_at_most(s, "current_reality", rep.reality_residual / scale, cfg.tol("current_reality"))
-    )
+    results.append(check_at_most(s, "current_reality", rep.reality_residual, cfg.tol("current_reality")))
 
     # frozen single-point currents with integer spinor entries
     e0 = np.array([1, 0, 0, 0], dtype=np.complex128)

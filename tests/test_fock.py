@@ -22,7 +22,7 @@ from diracfock import (
     permutation_parity,
     vacuum,
 )
-from diracfock.fock import _anticommutator_residual, _column_maps
+from diracfock.fock import _adjoint_residual, _anticommutator_residual, _ladder_map
 
 
 def test_occupation_bitset_round_trip():
@@ -99,25 +99,26 @@ def _dense_residual(x, y, shift):
     return float(np.max(np.abs(x @ y + y @ x - shift * np.eye(len(x)))))
 
 
-def _column_map_residual(x, y, shift):
-    return _anticommutator_residual(_column_maps([x]), _column_maps([y]), shift)
+def _dense(ladder):
+    rows, entries = ladder
+    m = np.zeros((len(rows), len(rows)))
+    m[rows, np.arange(len(rows))] = entries
+    return m
 
 
 @st.composite
 def _partial_signed_permutation(draw, dim):
-    rows = draw(st.permutations(list(range(dim))))
-    entries = draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), min_size=dim, max_size=dim))
-    m = np.zeros((dim, dim))
-    m[rows, np.arange(dim)] = entries
-    return m
+    """(row, entry) maps of a matrix with at most one nonzero per row and column."""
+    rows = np.array(draw(st.permutations(list(range(dim)))))
+    entries = np.array(draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), min_size=dim, max_size=dim)))
+    return rows, entries
 
 
 def _flipped_ladder_pair():
     """annihilate(1) of 3 modes with one sign flipped, and create(1): {a, c} - I != 0."""
-    a = operator_matrix("annihilate", 1, 3)
-    row, col = np.argwhere(a)[0]
-    a[row, col] = -a[row, col]
-    return a, operator_matrix("create", 1, 3)
+    rows, entries = _ladder_map(1, 3, occupied=True)
+    entries[np.flatnonzero(entries)[0]] *= -1.0
+    return (rows, entries), _ladder_map(1, 3, occupied=False)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -127,14 +128,18 @@ def _flipped_ladder_pair():
     st.sampled_from([0.0, 1.0]))
 def test_column_map_residual_equals_the_dense_one(pair, shift):
     x, y = pair
-    assert _column_map_residual(x, y, shift) == _dense_residual(x, y, shift)
+    stacked = [tuple(v[None] for v in m) for m in pair]
+    assert _anticommutator_residual(*stacked, shift) == _dense_residual(_dense(x), _dense(y), shift)
 
 
-def test_two_nonzeros_in_one_column_are_rejected():
-    m = operator_matrix("create", 0, 2)
-    m[0, 0] = 1.0   # column 0 already holds create(0)|0> at row 1
-    with pytest.raises(ValueError, match="more than one nonzero"):
-        _column_maps([m])
+@settings(derandomize=True, deadline=None, max_examples=200)
+@example(_flipped_ladder_pair())
+@given(st.integers(1, 12).flatmap(
+    lambda dim: st.tuples(_partial_signed_permutation(dim), _partial_signed_permutation(dim))))
+def test_column_map_adjoint_residual_equals_the_dense_one(pair):
+    x, y = pair
+    stacked = [tuple(v[None] for v in m) for m in pair]
+    assert _adjoint_residual(*stacked) == float(np.max(np.abs(_dense(x) - _dense(y).T)))
 
 
 def test_operator_matrix_adjointness_and_validation():

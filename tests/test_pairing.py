@@ -30,18 +30,8 @@ from diracfock import (
     tilted_slice,
 )
 from diracfock import dynamics
-from diracfock.pairing import (
-    _apply_time_plan,
-    _sample,
-    _slice_integral,
-    _slice_samples,
-    _streamed_fluxes,
-    _time_plan,
-    _time_plans,
-    _window_rows,
-)
+from diracfock.pairing import _slice_integral, _slice_samples, _streamed_fluxes, _time_plan
 from diracfock.scenarios import BUNDLED
-from diracfock.spin_algebra import _PAIRING_ROWS, _Rows
 from diracfock.suites import suite_pairing
 
 TWO_PI = 2.0 * np.pi
@@ -188,20 +178,21 @@ def test_orthonormalize_flags_dependent_mode(nat, wave_setup):
 def test_time_plan_is_exact_on_cubics():
     taxis = np.linspace(0.0, 3.0, 7)
     values = (taxis**3 - taxis)[:, None] * np.array([1.0, -2.0])
-    for t in (0.31, 1.77, 2.9):
-        first, weights = _time_plan(taxis, t)
-        out = _apply_time_plan(values[first : first + 4], weights)
+    for t, first in ((0.31, 0), (1.77, 2), (2.9, 3)):
+        rows, weights = _time_plan(taxis, t)
+        assert np.array_equal(rows, first + np.arange(4))
         expect = (t**3 - t) * np.array([1.0, -2.0])
-        assert np.max(np.abs(out - expect)) <= 1e-12
+        assert np.max(np.abs(weights @ values[rows] - expect)) <= 1e-12
 
 
 def test_time_plan_takes_a_node_without_four_snapshots():
+    # a node is its row four times with weights (1, 0, 0, 0), on a full axis
+    # and on a 3-row axis, which is too short for cubic interpolation
+    rows, weights = _time_plan(np.linspace(0.0, 3.0, 7), 1.5)
+    assert np.array_equal(rows, [3, 3, 3, 3]) and np.array_equal(weights, [1.0, 0.0, 0.0, 0.0])
     taxis = np.array([0.0, 0.5, 1.0])
-    values = np.array([[1.0], [7.0], [-4.0]])
-    # on-node times bypass the 4-snapshot requirement entirely
-    first, weights = _time_plan(taxis, 0.5)
-    assert (first, weights) == (1, None)
-    assert np.array_equal(_apply_time_plan(values[first:], weights), values[1])
+    rows, weights = _time_plan(taxis, 0.5)
+    assert np.array_equal(rows, [1, 1, 1, 1]) and np.array_equal(weights, [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="at least 4 snapshots"):
         _time_plan(taxis, 0.25)
 
@@ -297,11 +288,27 @@ def _stream_setup(shape):
 
 
 def _gathered_samples(values, taxis, s):
-    """The reference sampler: one fancy-index gather of every column's window rows
-    from the whole history, then the library's time plans."""
-    plans = _time_plans(taxis, s)
-    rows = _window_rows(plans, values.shape[1])
-    return _sample(values[rows, np.arange(values.shape[1])], plans)
+    """The reference sampler, apart from the library's: each column's four rows
+    and Lagrange weights, a time node being its row four times with weights
+    (1, 0, 0, 0), then one fancy-index gather of those rows from the whole
+    history, summed in order from zeros."""
+    dt = taxis[1] - taxis[0]
+    rows, weights = [], []
+    for t in s.times:
+        pos = (t - taxis[0]) / dt
+        if abs(pos - round(pos)) < 1e-12:
+            rows.append([round(pos)] * 4)
+            weights.append([1.0, 0.0, 0.0, 0.0])
+            continue
+        first = min(max(int(np.floor(pos)) - 1, 0), len(taxis) - 4)
+        ts = taxis[first : first + 4]
+        rows.append(first + np.arange(4))
+        weights.append([np.prod([(t - ts[m]) / (ts[j] - ts[m]) for m in range(4) if m != j]) for j in range(4)])
+    window = values[np.transpose(rows), np.arange(values.shape[1])]
+    out = np.zeros(window.shape[1:], dtype=window.dtype)
+    for w, row in zip(np.transpose(weights), window):
+        out += w[:, None, None, None] * row
+    return out
 
 
 @pytest.mark.parametrize("shape", [(16, 1, 1), (16, 32, 1), (16, 16, 16)])
@@ -333,14 +340,8 @@ def test_any_partition_into_row_blocks_gives_the_same_samples(cuts, shape):
         assert np.array_equal(g, _gathered_samples(psi.values, psi.taxis, s))
 
 
-def test_the_stream_raises_the_reality_error_of_current(nat, monkeypatch):
-    # the patched kernel of test_the_reality_guard_reads_a_computed_imaginary_part,
+def test_the_stream_raises_the_reality_error_of_current(nat, non_hermitian_pairing):
     # over 1-row blocks: the stream raises from the maxima over every block
-    rows = list(_PAIRING_ROWS)
-    phase = rows[2].phase.copy()
-    phase[0] = np.conj(phase[0])
-    rows[2] = _Rows(rows[2].perm, phase)
-    monkeypatch.setattr(dynamics, "_PAIRING_ROWS", tuple(rows))
     psi, slices = _stream_setup((16, 16, 16))
     j = dynamics._raw_pair_current(psi.values, psi.values, nat)
     imag = float(np.max(np.abs(j.imag)))
