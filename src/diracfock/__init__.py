@@ -68,7 +68,6 @@ from .fock import (
     indices_from_occupation,
     multiparticle_inner,
     occupation_from_indices,
-    operator_matrix,
     parse_fock_vector,
     particle_number,
     permutation_parity,

@@ -380,19 +380,17 @@ def timelike_report(psi_values: np.ndarray, k: PhysicalConstants) -> TimelikeRep
 
 
 def divergence(j: CurrentField, bg: Background) -> np.ndarray:
-    """sum_q nabla_q J^q over the grid, shape (nt, n1, n2, n3), of a current on bg's spatial grid."""
+    """sum_q nabla_q J^q over the grid, shape (nt, n1, n2, n3), of a current on bg's spatial grid,
+    in Gauss form: sqrt(-g) = sqrt(g00) varies along x1 alone, so the x1 term is
+    D_1(sqrt(-g) J^1) / sqrt(-g), with sqrt(-g) exactly 1.0 on the flat chart."""
     chart = j.chart
     _check_grid(chart, bg.chart)
+    w = bg.sqrt_neg_det[..., None]
     out = None  # time comes first in frame_terms
     for q in bg.frame_terms:
-        d = _transport(j.values[..., q, None], bg, q, chart)[..., 0]
-        out = d if out is None else out + d
-
-    if not bg.is_flat:
-        # Connection trace sum_q omega_q^q_r J^r; omega is stored with both
-        # frame indices lowered, so the raise is the diagonal eta factor.
-        trace = np.einsum("q,xyzqqr->xyzr", np.diagonal(np.real(FRAME.metric)), bg.omega)
-        out = out + np.einsum("xyzr,txyzr->txyz", trace, j.values)
+        jq = j.values[..., q, None]
+        d = _transport(jq * w, bg, q, chart) / w if q == 1 else _transport(jq, bg, q, chart)
+        out = d[..., 0] if out is None else out + d[..., 0]
     return out
 
 

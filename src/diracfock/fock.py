@@ -28,7 +28,6 @@ __all__ = [
     "create",
     "annihilate",
     "multiparticle_inner",
-    "operator_matrix",
     "CarReport",
     "car_report",
     "format_fock_vector",
@@ -217,22 +216,6 @@ def _ladder_map(i: int, nmodes: int, occupied: bool) -> tuple[np.ndarray, np.nda
     return rows, entries
 
 
-def operator_matrix(kind: str, i: int, nmodes: int) -> np.ndarray:
-    """Dense matrix of a ladder operator on the full 2**nmodes basis.
-
-    Basis states are ordered by their bitset value.  Entries are exact
-    integers in float form.
-    """
-    if kind not in ("create", "annihilate"):
-        raise ValueError("kind must be 'create' or 'annihilate'")
-    if not 0 <= i < nmodes:
-        raise ValueError(f"unknown mode index {i}; basis has {nmodes} modes")
-    rows, entries = _ladder_map(i, nmodes, occupied=kind == "annihilate")
-    m = np.zeros((len(rows), len(rows)))
-    m[rows, np.arange(len(rows))] = entries
-    return m
-
-
 @dataclass(frozen=True)
 class CarReport:
     """Max-norm residuals of the canonical anticommutation relations."""
@@ -315,16 +298,17 @@ def parse_fock_vector(text: str) -> FockVector:
         line = raw.strip()
         if not line:
             continue
-        if not line.startswith("["):
+        if not line.startswith("[") or "]" not in line:
             raise ValueError(f"line {ln}: expected '[indices] re im'")
-        close = line.index("]")
-        idx_part = line[1:close].split()
-        rest = line[close + 1 :].split()
+        idx_part, _, rest = line[1:].partition("]")
+        rest = rest.split()
         if len(rest) != 2:
             raise ValueError(f"line {ln}: expected two real numbers after the index list")
-        indices = [int(t) for t in idx_part]
-        state = occupation_from_indices(indices)
-        coeff = complex(float(rest[0]), float(rest[1]))
+        try:
+            state = occupation_from_indices(int(t) for t in idx_part.split())
+            coeff = complex(float(rest[0]), float(rest[1]))
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from exc
         if state in terms:
             raise ValueError(f"line {ln}: duplicate occupation state")
         terms[state] = coeff

@@ -310,7 +310,7 @@ def test_a_step_below_rounding_passes_every_evolve_row(tmp_path, capsys):
 
 
 LIBRARY_ERRORS = [
-    ChartError("metric sample is singular\n  at x1 node 3"),
+    ChartError("g00 must stay positive on the chart\n  at x1 node 3"),
     GridMismatchError("field and background live on different grids"),
     NotSpacelikeError("induced metric is not negative definite"),
     RankDeficientModeError(2),

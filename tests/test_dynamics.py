@@ -39,6 +39,9 @@ from diracfock import (
 )
 from diracfock import dynamics
 from diracfock.dynamics import _march, _operator, _raw_pair_current
+from diracfock.geometry import _transport
+from diracfock.pairing import _slice_integral
+from diracfock.stencils import differentiate
 from diracfock.spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, _apply
 
 TWO_PI = 2.0 * np.pi
@@ -576,11 +579,49 @@ def test_divergence_of_superposition_is_stencil_small(nat):
     assert np.max(np.abs(divergence(j, bg))) <= 1e-6
 
 
+def _gauss_gap(div, j, bg):
+    """max over time rows of |sum_x sqrt(-g) div J dV - D_0 Q| and max |Q|, where Q is
+    each row's flux through the coordinate slice and D_0 the one-sided time stencil."""
+    chart = bg.chart
+    s = coordinate_slice(bg, 0.0)
+    q = np.array([_slice_integral(row, s) for row in j.values])
+    dq = differentiate(q, axis=0, spacing=chart.dt, periodic=False)
+    total = np.sum(bg.sqrt_neg_det * div, axis=(1, 2, 3)) * chart.cell_volume
+    return float(np.max(np.abs(total - dq))), float(np.max(np.abs(q)))
+
+
+def _packet_current(n, nat):
+    chart = static_diagonal_chart(0.0, 0.5, n, (TWO_PI,) * 3, (n, 1, 1), epsilon=0.3, profile="sin")
+    bg = build_background(chart)
+    init = gaussian_packet(chart, nat, center=np.pi, width=TWO_PI / 16.0, carrier_index=2)
+    return current(evolve(init, bg, nat), nat), bg
+
+
+def _random_current(nat):
+    chart = static_diagonal_chart(0.0, 0.5, 8, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.3, profile="sin")
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(chart.shape + (4,)) + 1j * rng.standard_normal(chart.shape + (4,))
+    return current(SpinorField(chart, v), nat), build_background(chart)
+
+
+@pytest.mark.parametrize("case", ["packet-32", "packet-64", "random-8x8x8"])
+def test_divergence_satisfies_the_discrete_gauss_law(nat, case):
+    # sqrt(-g) div J sums over the periodic box to the time stencil of the
+    # coordinate-slice flux: the Gauss form D_1(sqrt(-g) J^1) / sqrt(-g) sums to
+    # zero.  The form without sqrt(-g) on the x1 term misses the law by far more.
+    j, bg = _packet_current(int(case[-2:]), nat) if case.startswith("packet") else _random_current(nat)
+    gap, q_max = _gauss_gap(divergence(j, bg), j, bg)
+    assert gap <= 1e-12 * max(1.0, q_max)
+    dropped = sum(_transport(j.values[..., q, None], bg, q, j.chart)[..., 0] for q in bg.frame_terms)
+    gap, _ = _gauss_gap(dropped, j, bg)
+    assert gap > 1e-12 * max(1.0, q_max)
+
+
 def test_curved_packet_conserves_charge_at_fourth_order(nat):
-    # evolve and divergence through the connection terms of a static
-    # sin-profile chart: halving both steps shrinks max |div J| by about 2^4
-    # (15.4 measured).  The skew march loses charge only to RK4's own
-    # dissipation, so its drift is the flat chart's for the same packet:
+    # evolve and divergence in Gauss form on a static sin-profile chart:
+    # halving both steps shrinks max |div J| by about 2^4 (15.45 measured).
+    # The skew march loses charge only to RK4's own dissipation, so its
+    # drift is the flat chart's for the same packet:
     # curved over flat read 1 + 3.9e-5 at n = 64 and 1 + 4.1e-5 at n = 128,
     # drifts 4.9e-9 and 1.6e-10; the bound allows 1e-3.  The operator the
     # split form replaced drifted 7.4e-6 at n = 64.

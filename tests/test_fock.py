@@ -16,7 +16,6 @@ from diracfock import (
     indices_from_occupation,
     multiparticle_inner,
     occupation_from_indices,
-    operator_matrix,
     parse_fock_vector,
     particle_number,
     permutation_parity,
@@ -143,32 +142,33 @@ def test_column_map_adjoint_residual_equals_the_dense_one(pair):
 
 
 def test_operator_matrix_adjointness_and_validation():
+    # the ladder matrices are held as (row, entry) column maps: the create map
+    # inverts the annihilate map with the same sign, so C_i = A_i^T
     for nmodes in (2, 4):
         for i in range(nmodes):
-            c = operator_matrix("create", i, nmodes)
-            a = operator_matrix("annihilate", i, nmodes)
-            assert np.array_equal(c, a.T)
-    with pytest.raises(ValueError):
-        operator_matrix("number", 0, 2)
-    with pytest.raises(ValueError):
-        operator_matrix("create", 5, 2)
+            a_rows, a_entries = _ladder_map(i, nmodes, occupied=True)
+            c_rows, c_entries = _ladder_map(i, nmodes, occupied=False)
+            for state in np.flatnonzero(a_entries):
+                assert c_rows[a_rows[state]] == state
+                assert c_entries[a_rows[state]] == a_entries[state]
+            assert np.count_nonzero(c_entries) == np.count_nonzero(a_entries) == 1 << (nmodes - 1)
     with pytest.raises(ValueError):
         annihilate(-1, vacuum())
 
 
 @pytest.mark.parametrize("nmodes", range(1, 6))
 def test_operator_matrix_columns_are_the_ladder(nmodes):
-    # the CAR rows check the dense matrices; each column must be the ladder
+    # the CAR rows check the ladder column maps; each column must be the ladder
     # operator that builds the Slater vectors, applied to that basis state
-    for kind, op in (("create", create), ("annihilate", annihilate)):
+    for occupied, op in ((False, create), (True, annihilate)):
         for i in range(nmodes):
-            m = operator_matrix(kind, i, nmodes)
+            rows, entries = _ladder_map(i, nmodes, occupied)
             for state in range(1 << nmodes):
                 image = op(i, FockVector({state: 1.0}))
-                column = np.zeros(1 << nmodes, dtype=complex)
-                for s, c in image.items():
-                    column[s] = c
-                assert np.array_equal(m[:, state], column)
+                if entries[state]:
+                    assert dict(image) == {int(rows[state]): complex(entries[state])}
+                else:
+                    assert image.is_zero() and rows[state] == 0
 
 
 def test_multiparticle_inner_orthonormal_basis():
@@ -242,6 +242,13 @@ def test_dump_round_trip():
     assert (back - v).is_zero()
     assert format_fock_vector(FockVector()) == ""
     assert parse_fock_vector("\n\n").is_zero()
+
+
+@pytest.mark.parametrize("text", ["[0 1 1 0\n", "[0 x] 1 0\n", "[0 1] 1 y\n", "[1 0] 1 0\n"],
+                         ids=["unclosed", "index", "imaginary", "unsorted"])
+def test_every_malformed_line_is_named(text):
+    with pytest.raises(ValueError, match="^line 2: "):
+        parse_fock_vector("[0] 1.0 0.0\n" + text)
 
 
 def test_dump_parse_errors():

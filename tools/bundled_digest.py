@@ -14,13 +14,15 @@ and linear charts with the values of their concordance, torsion and frame
 orthonormality residuals, and ``evolve``, ``current`` with ``divergence``,
 ``action_value``, ``dirac_residual`` and ``covariant_derivative`` on curved
 and flat grids, 1D and 3D (the curved ones on sin charts, where ``evolve``
-marches the skew split form; a linear chart's bounded x1 raises ChartError
-there, so that profile is probed through its background only);
+marches the skew split form and ``divergence`` takes the Gauss form
+D_1(sqrt(-g) J^1) / sqrt(-g) on x1; a linear chart's bounded x1 raises
+ChartError there, so that profile is probed through its background only);
 ``sample_on_slice``, ``flux`` and ``gram`` on a
 flat (8, 8, 1) grid for an x1 tilt, a tilt along the suppressed x3 and an
 off-node coordinate slice, where ``gram`` pairs each mode's
-``sample_on_slice`` samples; and the ``operator_matrix`` arrays with the
-``car_report`` residuals for 1 to 8 modes; then two probes of the private
+``sample_on_slice`` samples; and the (rows, entries) ladder maps of the
+private ``fock._ladder_map`` for every kind and mode, with the
+``car_report`` residuals, for 1 to 8 modes; then two probes of the private
 ``dynamics._march`` on batches: the state after 8 steps of a batch of 3 on
 a flat 8^3 grid, and the step, norm ratio and x0 at which a batch with a
 zero member aborts; and the fluxes of the private
@@ -213,7 +215,8 @@ def fock_lines():
     for nmodes in range(1, 9):
         for kind in ("create", "annihilate"):
             for i in range(nmodes):
-                print("fock-%d" % nmodes, "operator_matrix", kind, i, digest(fock.operator_matrix(kind, i, nmodes)))
+                rows, entries = fock._ladder_map(i, nmodes, occupied=kind == "annihilate")
+                print("fock-%d" % nmodes, "ladder_map", kind, i, digest(rows), digest(entries))
         rep = fock.car_report(nmodes)
         for name in ("annihilate_pairs", "create_pairs", "mixed_pairs", "adjointness"):
             print("fock-%d" % nmodes, "car_report", name, repr(getattr(rep, name)))

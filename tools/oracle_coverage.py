@@ -12,11 +12,14 @@ test of the error, not a bundled report.  Standard library and numpy only:
 
     python3 tools/oracle_coverage.py
 
-Exits 0; the listing is a measurement, not a gate.
+Exits 0; the listing is a measurement, not a gate.  ``unreached(configs)``
+traces any list of bundled scenario names or config paths and returns the
+lines; ``tests/test_oracle_reach.py`` pins its list for the fast scenarios.
 """
 
 import ast
 import contextlib
+import importlib
 import io
 import sys
 import tempfile
@@ -45,6 +48,15 @@ def _trace(frame, event, arg):
     return local
 
 
+def _traced(fn, *args):
+    """fn(*args) under the line trace."""
+    sys.settrace(_trace)
+    try:
+        return fn(*args)
+    finally:
+        sys.settrace(None)
+
+
 def executable_lines(path: Path) -> set[int]:
     """Line numbers that can raise a trace 'line' event: the line starts of
     the module's code object and of every code object nested in it."""
@@ -64,37 +76,57 @@ def raise_lines(path: Path) -> set[int]:
             for n in range(node.lineno, node.end_lineno + 1)}
 
 
-def main() -> int:
-    sys.settrace(_trace)
-    try:
-        from diracfock import cli
-        from diracfock.scenarios import scenario_names
-    finally:
-        sys.settrace(None)
+def scopes(path: Path) -> dict[int, str]:
+    """Line -> qualified name of the innermost function or class around it ("" at module level)."""
+    out: dict[int, str] = {}
 
-    names = scenario_names()
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                out.update(dict.fromkeys(range(child.lineno, child.end_lineno + 1), name))
+                name += "."
+            visit(child, name)
+
+    visit(ast.parse(path.read_text()), "")
+    return out
+
+
+def unreached(configs: list[str]) -> tuple[list[tuple[str, int]], float, list[tuple[str, int, str, str, bool]]]:
+    """Run ``diracfock run <config>`` for each bundled scenario name or config path
+    under the line trace.  Returns (config, exit code) pairs, the seconds traced and
+    every unreached line as (path, line, enclosing function, stripped source, in a
+    raise statement).  Import-time lines count as reached only if the package was
+    first imported under the trace, so call it where nothing has imported it yet."""
+    cli = _traced(importlib.import_module, "diracfock.cli")
+    exits = []
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
+        for i, config in enumerate(configs):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                sys.settrace(_trace)
-                try:
-                    code = cli.main(["run", name, "--out", str(Path(tmp, name))])
-                finally:
-                    sys.settrace(None)
-            print(f"# {name}: exit {code}")
+                code = _traced(cli.main, ["run", config, "--out", str(Path(tmp, str(i)))])
+            exits.append((config, code))
     traced = time.perf_counter() - started
 
-    other, raises = [], []
+    lines = []
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text().splitlines()
         done = {line for f, line in reached if f == str(path)}
-        missed = sorted(executable_lines(path) - done)
-        in_raise = raise_lines(path)
-        rel = path.relative_to(SRC.parent)
-        for line in missed:
-            (raises if line in in_raise else other).append(f"{rel}:{line}: {text[line - 1].strip()}")
-    print(f"# {len(names)} scenarios traced in {traced:.1f} s; import-time lines left out")
+        in_raise, scope = raise_lines(path), scopes(path)
+        rel = str(path.relative_to(SRC.parent))
+        for line in sorted(executable_lines(path) - done):
+            lines.append((rel, line, scope.get(line, ""), text[line - 1].strip(), line in in_raise))
+    return exits, traced, lines
+
+
+def main() -> int:
+    exits, traced, lines = unreached(_traced(importlib.import_module, "diracfock.scenarios").scenario_names())
+    for name, code in exits:
+        print(f"# {name}: exit {code}")
+    other = [f"{rel}:{line}: {src}" for rel, line, _, src, in_raise in lines if not in_raise]
+    raises = [f"{rel}:{line}: {src}" for rel, line, _, src, in_raise in lines if in_raise]
+    print(f"# {len(exits)} scenarios traced in {traced:.1f} s; import-time lines left out")
     print(f"# unreached lines: {len(other)}")
     print("\n".join(other))
     print(f"# unreached lines of raise statements: {len(raises)}")
