@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from .constants import PhysicalConstants
 from .dynamics import gaussian_packet
-from .geometry import FAMILIES, PROFILES, ChartError, MetricChart, minkowski_chart, static_diagonal_chart
+from .geometry import FAMILIES, ChartError, MetricChart, minkowski_chart, static_diagonal_chart
 
 SUITE_NAMES = ("identities", "connection", "evolve", "current", "pairing", "fock")
 
@@ -98,7 +98,6 @@ class ScenarioConfig:
             self.lengths,
             self.shape,
             epsilon=self.epsilon,
-            profile=self.profile,
             origin=self.origin,
         )
 
@@ -277,8 +276,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("shape entries must be at least 1")
     if cfg.epsilon < 0:
         raise ConfigError("epsilon must be non-negative")
-    if cfg.profile not in PROFILES:
-        raise ConfigError("profile must be linear or sin")
+    if cfg.profile != "sin":
+        raise ConfigError("profile must be sin")
     try:
         if cfg.family == "static-diagonal":
             # the g00 rule of metric_values; the connection suite also builds the refined chart

@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .fields import CurrentField, SpinorField, _check_grid
-from .geometry import Background, ChartError, MetricChart, _nabla, _transport, covariant_derivative
+from .geometry import Background, MetricChart, _nabla, _transport, covariant_derivative
 from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, FRAME, _apply, _Rows
 from .stencils import _central, differentiate  # noqa: F401 (perfbench's wrapper test reads dynamics.differentiate)
 
@@ -85,8 +85,7 @@ def evolve(
 
     ``initial`` holds the spinor samples on the spatial grid at the first
     time node.  Spatial derivatives are 4th-order central, through a wraparound
-    halo, in the skew split form of ``_operator``; a bounded spatial axis (the
-    linear profile's x1) raises ChartError.  The run aborts with
+    halo, in the skew split form of ``_operator``.  The run aborts with
     EvolutionUnstableError when the L2 norm grows past ``growth_abort`` times
     its initial value or stops being finite.
     """
@@ -107,12 +106,10 @@ def _operator(bg: Background, k: PhysicalConstants, shape: tuple[int, ...], stag
     or +-i (the mass's times -i mu a); the bits are those of the same sums on (..., 4) samples,
     as 1 / (12 h) on a real view is numpy's complex divide.  The x1 sum a D~psi + D~(a psi) of
     the periodic stencil D~ is scaled once by 1 / (24 h), so L = -L^H bit for bit; on the flat
-    chart a is 1 and never applied.  A bounded spatial axis raises ChartError.  Every buffer,
-    the derivatives, a scratch and one halo shared by the axes included, is a view of one
-    allocation, freed whole: separate buffers freed in the heap's middle stay resident."""
+    chart a is 1 and never applied.  Every buffer, the derivatives, a scratch and one halo
+    shared by the axes included, is a view of one allocation, freed whole: separate buffers
+    freed in the heap's middle stay resident."""
     chart, size, curved = bg.chart, int(np.prod(shape)), not bg.is_flat
-    if not all(chart.periodic[1:]):
-        raise ChartError("the march needs every spatial axis periodic")
     g0, a = _GAMMA_ROWS[0], np.sqrt(bg.metric[..., 0, 0]) if curved else 1.0  # on the x1 column (n1, 1, 1)
     mass = [(p, m * a if curved else m) for p, m in zip(g0.perm.tolist(), (-1j * k.compton_wavenumber * g0.phase).tolist())]
     axes = [q for q in (1, 2, 3) if shape[q + 1] > 1]

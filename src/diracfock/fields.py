@@ -14,10 +14,9 @@ class GridMismatchError(ValueError):
 
 
 def _check_grid(chart, ref) -> None:
-    """GridMismatchError unless chart has ref's spatial axes, spacings and
-    periodic flags; the time axes may differ."""
-    same = chart.periodic[1:] == ref.periodic[1:] and chart.spacing[1:] == ref.spacing[1:]
-    if not (same and all(map(np.array_equal, chart.axes[1:], ref.axes[1:]))):
+    """GridMismatchError unless chart has ref's spatial axes and spacings;
+    the time axes may differ."""
+    if not (chart.spacing[1:] == ref.spacing[1:] and all(map(np.array_equal, chart.axes[1:], ref.axes[1:]))):
         raise GridMismatchError("fields live on different grids")
 
 

@@ -1,11 +1,12 @@
 """Charts, backgrounds and the metric spinor connection.
 
-A chart is a 4D coordinate box with uniform axes.  Supported metric families
-are the rectilinear Minkowski chart and static diagonal metrics
-g = diag(g00(x1), -1, -1, -1), functions of x1 alone.  A Background caches
-everything derived from the metric on the x1 column: tetrad, Christoffel
-symbols, the frame connection one-form and the spinor connection
-coefficients.  A field meets it on the same spatial grid, on any time axis.
+A chart is a 4D coordinate box with uniform axes, periodic in space and
+bounded in time.  Supported metric families are the rectilinear Minkowski
+chart and the static diagonal metric g = diag(1 + epsilon sin x1, -1, -1, -1).
+A Background caches everything derived from the metric on the x1 column:
+tetrad, Christoffel symbols, the frame connection one-form and the spinor
+connection coefficients.  A field meets it on the same spatial grid, on any
+time axis.
 
 Index conventions for cached arrays (read-only; the leading axes (n1, 1, 1)
 are the x1 column, which numpy broadcasts over x2 and x3):
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -49,25 +49,17 @@ class ChartError(ValueError):
 
 FAMILIES = ("minkowski", "static-diagonal")
 
-PROFILES: dict[str, tuple[Callable[[np.ndarray, float], np.ndarray], bool]] = {
-    # name -> (g00 profile of x1, periodic in x1)
-    "linear": (lambda x, eps: 1.0 + eps * x, False),
-    "sin": (lambda x, eps: 1.0 + eps * np.sin(x), True),
-}
-
 
 @dataclass(frozen=True)
 class MetricChart:
-    """Uniform 4D coordinate box carrying one of the supported metrics."""
+    """Uniform 4D coordinate box, periodic in space, carrying one of the supported metrics."""
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    periodic: tuple[bool, bool, bool, bool]
     family: str
     # the step each axis was built with: far from 0 the nodes are rounded to a
     # few units of their magnitude, so their differences are not the step.
     step: tuple[float, float, float, float]
     epsilon: float = 0.0
-    profile: str = "linear"
 
     def __post_init__(self) -> None:
         if len(self.axes) != 4:
@@ -81,8 +73,6 @@ class MetricChart:
                     raise ChartError("axes must be uniform")
         if self.family not in FAMILIES:
             raise ChartError(f"unknown metric family {self.family!r}")
-        if self.family == "static-diagonal" and self.profile not in PROFILES:
-            raise ChartError(f"unknown profile {self.profile!r}")
 
     @property
     def spatial_shape(self) -> tuple[int, int, int]:
@@ -122,12 +112,12 @@ class MetricChart:
         return replace(self, axes=(axis,) + self.axes[1:], step=(t_span / steps,) + self.step[1:])
 
     def metric_values(self) -> np.ndarray:
-        """Coordinate metric sampled on the x1 column, shape (n1,1,1,4,4)."""
+        """Coordinate metric sampled on the x1 column, shape (n1,1,1,4,4);
+        g00 = 1 + epsilon sin x1 on the static-diagonal family."""
         diag = np.empty((len(self.axes[1]), 1, 1, 4))
         diag[...] = (1.0, -1.0, -1.0, -1.0)
         if self.family == "static-diagonal":
-            profile, _ = PROFILES[self.profile]
-            diag[..., 0] = profile(self.axes[1], self.epsilon)[:, None, None]
+            diag[..., 0] = (1.0 + self.epsilon * np.sin(self.axes[1]))[:, None, None]
             if np.any(diag[..., 0] <= 0.0):
                 raise ChartError("g00 must stay positive on the chart")
         g = np.zeros(diag.shape[:-1] + (4, 4))
@@ -161,7 +151,7 @@ def minkowski_chart(
         _spatial_axis(lengths[k], shape[k], origin[k]) for k in range(3)
     )
     step = (t_span / steps,) + tuple(lengths[k] / shape[k] for k in range(3))
-    return MetricChart(axes=axes, periodic=(False, True, True, True), family="minkowski", step=step)
+    return MetricChart(axes=axes, family="minkowski", step=step)
 
 
 def static_diagonal_chart(
@@ -171,29 +161,11 @@ def static_diagonal_chart(
     lengths: tuple[float, float, float],
     shape: tuple[int, int, int],
     epsilon: float,
-    profile: str = "sin",
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> MetricChart:
-    if profile not in PROFILES:
-        raise ChartError(f"unknown profile {profile!r}")
-    _, periodic_x1 = PROFILES[profile]
-    if periodic_x1 or shape[0] == 1:
-        x1 = _spatial_axis(lengths[0], shape[0], origin[0])
-        h1 = lengths[0] / shape[0]
-    else:
-        x1 = origin[0] + np.linspace(0.0, lengths[0], shape[0])
-        h1 = lengths[0] / (shape[0] - 1)
-    axes = (_time_axis(t_start, t_span, steps), x1) + tuple(
-        _spatial_axis(lengths[k], shape[k], origin[k]) for k in (1, 2)
-    )
-    return MetricChart(
-        axes=axes,
-        periodic=(False, periodic_x1, True, True),
-        family="static-diagonal",
-        epsilon=epsilon,
-        profile=profile,
-        step=(t_span / steps, h1, lengths[1] / shape[1], lengths[2] / shape[2]),
-    )
+    """The Minkowski chart's box carrying g00 = 1 + epsilon sin x1."""
+    chart = minkowski_chart(t_start, t_span, steps, lengths, shape, origin)
+    return replace(chart, family="static-diagonal", epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -233,7 +205,7 @@ def _diagonal_gradient(chart: MetricChart, values: np.ndarray) -> np.ndarray:
     """d_mu of diagonal entries values[..., k] that depend on x1 alone, spread onto [..., mu, k, k]."""
     k = np.arange(4)
     out = np.zeros(values.shape[:-1] + (4, 4, 4))
-    out[..., 1, k, k] = differentiate(values, axis=0, spacing=chart.spacing[1], periodic=chart.periodic[1])
+    out[..., 1, k, k] = differentiate(values, axis=0, spacing=chart.spacing[1], periodic=True)
     return out
 
 
@@ -291,9 +263,6 @@ class ConcordanceReport:
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
 
-    def max(self) -> float:
-        return max(self.as_dict().values())
-
 
 def concordance_residuals(bg: Background) -> ConcordanceReport:
     """Covariant constancy of g, d, H, D and the gamma field.
@@ -342,8 +311,8 @@ def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorFiel
     """Covariant derivative along frame direction q.
 
     nabla_q psi = Y_q^mu d_mu psi + A_q psi, with 4th-order differences;
-    spatial axes honour the chart's periodicity flags, the time axis uses
-    one-sided stencils at its ends.  Every coefficient has a zero imaginary
+    spatial axes are periodic, the time axis uses one-sided stencils at its
+    ends.  Every coefficient has a zero imaginary
     part, A_q included, so conj(nabla psi) = nabla conj(psi) exactly.  A
     field off the background's spatial grid raises GridMismatchError.
     """
@@ -355,10 +324,9 @@ def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorFiel
 
 def _transport(v: np.ndarray, bg: Background, q: int, chart: MetricChart) -> np.ndarray:
     """Y_q^q d_q v on samples v[t, x1, x2, x3, ...] of a field on chart, for q in
-    bg.frame_terms: the time axis takes one-sided end rows, a spatial axis the
-    chart's periodicity."""
+    bg.frame_terms: the time axis takes one-sided end rows, a spatial axis wraps."""
     u = bg.frame_terms[q][0]
-    d = differentiate(v, axis=q, spacing=chart.spacing[q], periodic=q > 0 and chart.periodic[q])
+    d = differentiate(v, axis=q, spacing=chart.spacing[q], periodic=q > 0)
     return d if isinstance(u, float) else u[..., None] * d
 
 

@@ -63,12 +63,9 @@ class Slice:
 
 def coordinate_slice(bg: Background, t0: float) -> Slice:
     """Constant-x0 slice.  Works on every supported chart: the unit future
-    normal is the time frame vector and the induced metric is the spatial
-    block, so the area element is sqrt(-det g3)."""
-    g3det = -(bg.metric[..., 1, 1] * bg.metric[..., 2, 2] * bg.metric[..., 3, 3])
-    if np.any(g3det <= 0.0):
-        raise NotSpacelikeError("induced metric is not negative definite")
-    weights = np.broadcast_to(np.sqrt(g3det) * bg.chart.cell_volume, bg.chart.spatial_shape)
+    normal is the time frame vector and the induced metric is minus the
+    identity, so the area weights are the coordinate cell volume."""
+    weights = np.broadcast_to(bg.chart.cell_volume, bg.chart.spatial_shape)
     times = np.full(len(bg.chart.axes[1]), float(t0))
     return Slice(times=times, normal=np.array([1.0, 0.0, 0.0, 0.0]), area_weights=weights)
 

@@ -207,9 +207,6 @@ class DiracFormReport:
     hermiticity_residual: float
     contraction_residual: float
 
-    def max(self) -> float:
-        return max(self.hermiticity_residual, self.contraction_residual)
-
 
 def check_dirac_form_identities(frame: GammaSet) -> DiracFormReport:
     """Residuals of D's hermiticity and of its gamma contraction symmetry.

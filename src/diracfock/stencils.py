@@ -20,9 +20,9 @@ def differentiate(values: np.ndarray, axis: int, spacing: float, periodic: bool)
     """d/dx along one grid axis.
 
     Size-1 axes are treated as suppressed directions and return zeros.
-    Periodic axes use the central stencil on a 2-node wraparound halo;
-    otherwise the two points nearest each end fall back to one-sided stencils
-    of the same order.
+    Periodic axes use the central stencil on a 2-node wraparound halo; on a
+    bounded axis (a chart's time axis) the two points nearest each end fall
+    back to one-sided stencils of the same order.
     """
     n = values.shape[axis]
     if n == 1:

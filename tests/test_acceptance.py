@@ -80,7 +80,7 @@ def test_acceptance_2_connection_convergence():
     reports = {}
     for n in (64, 128):
         chart = static_diagonal_chart(
-            0.0, 1.0, 2, (TWO_PI, TWO_PI, TWO_PI), (n, 1, 1), epsilon=0.01, profile="sin"
+            0.0, 1.0, 2, (TWO_PI, TWO_PI, TWO_PI), (n, 1, 1), epsilon=0.01
         )
         bg = build_background(chart)
         reports[n] = (concordance_residuals(bg).as_dict(), torsion_residual(bg))

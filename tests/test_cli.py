@@ -219,7 +219,8 @@ CLI_PROBES = {
         "[scenario]\nsuites = pairing\n[chart]\nshape = 16 1 1\nt_span = 0.5\nsteps = 10\n"
         "[modes]\nm1 = 0 0 0 0 +1\n"
     ),
-    "linear_g00_negative": (
+    # g00 = 1 + eps x1 would go negative here, but the profile rule rejects it first
+    "profile_linear": (
         "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nprofile = linear\n"
         "epsilon = 0.5\norigin = -10 0 0\nshape = 16 1 1\n"
     ),

@@ -143,6 +143,7 @@ BAD_DOCUMENTS = [
     "[chart]\nshape = 64 0 1\n",
     "[chart]\nepsilon = -0.1\n",
     "[chart]\nprofile = cosh\n",
+    "[chart]\nprofile = linear\n",  # sin is the only profile
     "[modes]\nm1 = 1 0 0 0\n",
     "[modes]\nm1 = 0 0 0 2 +1\n",
     "[modes]\nm1 = 0 0 0 0 0\n",
@@ -187,7 +188,8 @@ BAD_DOCUMENTS = [
     "[scenario]\nsuites = pairing\n[chart]\nt_span = 0.5\nsteps = 10\nshape = 16 1 1\n"
     "[modes]\nm1 = 0 0 0 0 +1\n",
     FULL.replace("tilt = 0.1 0.0 0.0", "tilt = 0.2 0.0 0.0"),  # 0.2 * 12 > t_span = 2
-    # g00 = profile(x1) must stay positive on the chart and on the refined
+    # profile = linear (g00 = 1 + eps x1 < 0 here) fails the profile rule;
+    # g00 = 1 + eps sin x1 must stay positive on the chart and on the refined
     # chart of the connection suite (the last one only fails there)
     "[scenario]\nsuites = connection\n[chart]\nfamily = static-diagonal\nprofile = linear\nepsilon = 0.5\n"
     "origin = -10 0 0\nshape = 16 1 1\n",

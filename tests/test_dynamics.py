@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracfock import (
-    ChartError,
     CurrentRealityError,
     EvolutionUnstableError,
     GridMismatchError,
@@ -179,7 +178,7 @@ def march_charts():
         "flat_1d": flat_chart(shape=(64, 1, 1), t_span=0.5, steps=20),
         "flat_8cubed": flat_chart(shape=(8, 8, 8), t_span=0.2, steps=8),
         "curved_sin": static_diagonal_chart(
-            0.0, 0.5, 20, (TWO_PI, TWO_PI, TWO_PI), (32, 1, 1), epsilon=0.01, profile="sin"
+            0.0, 0.5, 20, (TWO_PI, TWO_PI, TWO_PI), (32, 1, 1), epsilon=0.01
         ),
     }
 
@@ -306,19 +305,6 @@ def test_march_commutes_with_charge_conjugation(name, nat):
     assert count == 21
 
 
-def test_march_rejects_a_bounded_spatial_axis(nat):
-    # the linear profile's x1 is bounded, and one-sided end rows are not skew:
-    # its march grew at Re lambda = 0.666 at epsilon = 0.3, so it is not offered
-    chart = static_diagonal_chart(0.0, 0.1, 20, (TWO_PI,) * 3, (32, 1, 1), epsilon=0.05, profile="linear")
-    bg = build_background(chart)
-    assert not chart.periodic[1]
-    initial = np.ones(chart.spatial_shape + (4,), dtype=complex)
-    with pytest.raises(ChartError, match="periodic"):
-        evolve(initial, bg, nat)
-    with pytest.raises(ChartError, match="periodic"):
-        next(_march(initial, bg, nat, 10.0))
-
-
 def dense_operator(bg, k, block=128):
     """L of the march's right-hand side on one 1D field: column j is rhs of the
     unit vector at x1 node j // 4, component j % 4, taken ``block`` columns at a time."""
@@ -340,7 +326,7 @@ def test_curved_operator_is_skew_and_its_lowest_frequency_refines_at_fourth_orde
     # 0.96060011 at n = 32, 64 and 128, a refinement ratio of 15.90.
     lowest = []
     for n in (32, 64, 128, 256):
-        chart = static_diagonal_chart(0.0, 1.0, 1, (TWO_PI,) * 3, (n, 1, 1), epsilon=0.3, profile="sin")
+        chart = static_diagonal_chart(0.0, 1.0, 1, (TWO_PI,) * 3, (n, 1, 1), epsilon=0.3)
         op = dense_operator(build_background(chart), nat)
         assert np.any(op != dense_operator(build_background(flat_chart(shape=(n, 1, 1))), nat))
         assert np.array_equal(op, -op.conj().T), n
@@ -591,14 +577,14 @@ def _gauss_gap(div, j, bg):
 
 
 def _packet_current(n, nat):
-    chart = static_diagonal_chart(0.0, 0.5, n, (TWO_PI,) * 3, (n, 1, 1), epsilon=0.3, profile="sin")
+    chart = static_diagonal_chart(0.0, 0.5, n, (TWO_PI,) * 3, (n, 1, 1), epsilon=0.3)
     bg = build_background(chart)
     init = gaussian_packet(chart, nat, center=np.pi, width=TWO_PI / 16.0, carrier_index=2)
     return current(evolve(init, bg, nat), nat), bg
 
 
 def _random_current(nat):
-    chart = static_diagonal_chart(0.0, 0.5, 8, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.3, profile="sin")
+    chart = static_diagonal_chart(0.0, 0.5, 8, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.3)
     rng = np.random.default_rng(11)
     v = rng.standard_normal(chart.shape + (4,)) + 1j * rng.standard_normal(chart.shape + (4,))
     return current(SpinorField(chart, v), nat), build_background(chart)
@@ -629,7 +615,7 @@ def test_curved_packet_conserves_charge_at_fourth_order(nat):
     for n, steps in ((64, 100), (128, 200)):
         drift = []
         for chart in (
-            static_diagonal_chart(0.0, 1.0, steps, (TWO_PI,) * 3, (n, 1, 1), epsilon=0.01, profile="sin"),
+            static_diagonal_chart(0.0, 1.0, steps, (TWO_PI,) * 3, (n, 1, 1), epsilon=0.01),
             flat_chart(shape=(n, 1, 1), t_span=1.0, steps=steps),
         ):
             bg = build_background(chart)
@@ -673,7 +659,7 @@ def _dense_action(psi, bg, k):
 ACTION_CHARTS = {
     "flat-1d": lambda: flat_chart(shape=(32, 1, 1), t_span=1.0, steps=12),
     "flat-8^3": lambda: flat_chart(shape=(8, 8, 8), t_span=0.5, steps=6),
-    "curved-sin-8^3": lambda: static_diagonal_chart(0.0, 0.5, 6, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.3, profile="sin"),
+    "curved-sin-8^3": lambda: static_diagonal_chart(0.0, 0.5, 6, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.3),
 }
 
 
@@ -724,7 +710,7 @@ BLOCKED_CHARTS = {
     "flat-1d": lambda steps: flat_chart(shape=(256, 1, 1), t_span=1.0, steps=steps),
     "flat-8^3": lambda steps: flat_chart(shape=(8, 8, 8), t_span=0.5, steps=steps),
     "curved-sin-8^3": lambda steps: static_diagonal_chart(
-        0.0, 0.5, steps, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.3, profile="sin"
+        0.0, 0.5, steps, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.3
     ),
 }
 

@@ -28,21 +28,10 @@ ALLOWED = Counter([
     ('cli.py', 'main', 'parser.print_usage(sys.stderr)'),
     ('cli.py', 'main', 'return 2'),
     ('cli.py', 'main', 'suites = tuple(p for p in args.suite.replace(",", " ").split() if p)'),
-    ('cli.py', 'main', 'except ConfigError as exc:'),
-    ('cli.py', 'main', 'print("config error: %s" % exc, file=sys.stderr)'),
-    ('cli.py', 'main', 'return 2'),
-    ('cli.py', 'main', 'except LIBRARY_ERRORS as exc:'),
-    ('cli.py', 'main', 'print("error: %s: %s" % (type(exc).__name__, " ".join(str(exc).split())), file=sys.stderr)'),
-    ('cli.py', 'main', 'return 2'),
-    ('cli.py', 'main', 'except OSError as exc:'),
-    ('cli.py', 'main', 'print("output error: %s" % exc, file=sys.stderr)'),
-    ('cli.py', 'main', 'return 2'),
     ('cli.py', '', 'sys.exit(main())'),
     ('config.py', 'ScenarioConfig.with_overrides', 'cfg = replace(cfg, suites=suites)'),
     ('config.py', 'ScenarioConfig.with_overrides', 'cfg = replace(cfg, seed=seed)'),
     ('config.py', '_number.parse', 'kind = "numbers" if cast is float else "integers"'),
-    ('config.py', '_number.parse', 'except ValueError as exc:'),
-    ('config.py', 'parse_config', 'except configparser.Error as exc:'),
     ('config.py', 'parse_config', 'tols = dict(DEFAULT_TOLERANCES)'),
     ('config.py', 'parse_config', 'for key, raw in entries.items():'),
     ('config.py', 'parse_config', 'if key not in tols:'),
@@ -50,10 +39,6 @@ ALLOWED = Counter([
     ('config.py', 'parse_config', 'fields["tolerances"] = tols'),
     ('config.py', '_packet_center_width', 'center = cfg.origin[0] + 0.5 * cfg.lengths[0]'),
     ('config.py', '_packet_center_width', 'width = cfg.lengths[0] / 16.0'),
-    ('config.py', 'validate', 'except ChartError as exc:'),
-    ('config.py', 'validate', 'except ValueError as exc:'),
-    ('config.py', 'load_config', 'except OSError as exc:'),
-    ('config.py', 'load_config', 'except UnicodeDecodeError as exc:'),
     ('dynamics.py', '_operator.rhs', 'np.multiply(dr, a, out=dr)'),
     ('dynamics.py', '_operator.rhs', 'np.multiply(split[0], split[1], out=split[0])'),
     ('dynamics.py', '_operator.rhs', 'np.add(views[1], _central(*split[2:]), out=views[1])'),
@@ -63,15 +48,10 @@ ALLOWED = Counter([
     ('fock.py', 'FockVector.__repr__', 'return f"FockVector({{{parts}}})"'),
     ('fock.py', 'multiparticle_inner', 'return complex(sum(u[s].conjugate() * c for s, c in v.items() if s in u))'),
     ('fock.py', 'parse_fock_vector', 'continue'),
-    ('fock.py', 'parse_fock_vector', 'except ValueError as exc:'),
-    ('geometry.py', 'static_diagonal_chart', 'x1 = origin[0] + np.linspace(0.0, lengths[0], shape[0])'),
-    ('geometry.py', 'static_diagonal_chart', 'h1 = lengths[0] / (shape[0] - 1)'),
-    ('geometry.py', 'ConcordanceReport.max', 'return max(self.as_dict().values())'),
     ('geometry.py', 'covariant_derivative', 'return psi.with_values(np.zeros_like(psi.values))'),
     ('pairing.py', 'sample_on_slice', 'return _slice_samples([psi.values], psi.taxis, [s])[0]'),
     ('pairing.py', 'flux', 'return float(_slice_integral(_slice_samples([j.values], j.taxis, [s])[0], s))'),
     ('scenarios.py', 'scenario_names', 'return tuple(sorted(BUNDLED))'),
-    ('spin_algebra.py', 'DiracFormReport.max', 'return max(self.hermiticity_residual, self.contraction_residual)'),
     ('stencils.py', 'differentiate', 'return np.zeros_like(values)'),
 ])
 
@@ -86,5 +66,5 @@ def test_the_fast_scenarios_reach_every_line_off_the_allowlist(tmp_path):
     assert run.returncode == 0, run.stderr
     exits, _, lines = json.loads(run.stdout)
     assert [code for _, code in exits] == [0, 0, 0, 0, 0, 3, 0]
-    found = Counter((Path(path).name, scope, source) for path, _, scope, source, in_raise in lines if not in_raise)
+    found = Counter((Path(path).name, scope, source) for path, _, scope, source, in_error in lines if not in_error)
     assert not found - ALLOWED, sorted(found - ALLOWED)

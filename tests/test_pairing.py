@@ -28,6 +28,7 @@ from diracfock import (
     sample_on_slice,
     static_diagonal_chart,
     tilted_slice,
+    timelike_report,
 )
 from diracfock import dynamics
 from diracfock.pairing import _slice_integral, _slice_samples, _streamed_fluxes, _time_plan
@@ -156,7 +157,9 @@ def test_orthonormalize_mixed_modes(nat, wave_setup):
     bg, modes = wave_setup
     s = coordinate_slice(bg, 0.0)
     m = on_slice(modes, s)
-    mixed = [m[0], 0.6 * m[0] + 0.8 * m[1], m[2]]
+    # a complex coefficient on the mode projected out, so that a projection
+    # coefficient taken conjugated leaves the second output off m[0]'s complement
+    mixed = [m[0], 0.6j * m[0] + 0.8 * m[1], m[2]]
     ortho = orthonormalize(mixed, s, nat)
     assert all(o.shape == m[0].shape for o in ortho)
     assert np.max(np.abs(gram(ortho, s, nat) - np.eye(len(ortho)))) <= 1e-12
@@ -351,3 +354,13 @@ def test_the_stream_raises_the_reality_error_of_current(nat, non_hermitian_pairi
         with pytest.raises(CurrentRealityError) as info:
             run()
         assert str(info.value) == message
+
+
+def test_a_reality_residual_between_the_bounds_raises(nat, nearly_hermitian_pairing):
+    # The fixture's relative residual reads 1.01e-10 on this history: above
+    # current's bound 1e-13, below 1e-3, so a looser bound would let it through.
+    psi, slices = _stream_setup((16, 16, 16))
+    assert 1e-13 < timelike_report(psi.values, nat).reality_residual < 1e-3
+    for run in (lambda: current(psi, nat), lambda: _streamed_fluxes(iter(psi.values), psi.taxis, slices, nat)):
+        with pytest.raises(CurrentRealityError):
+            run()

@@ -66,7 +66,6 @@ def test_form_hermiticity_and_contraction_exact(gs):
     rep = check_dirac_form_identities(gs)
     assert rep.hermiticity_residual == 0.0
     assert rep.contraction_residual == 0.0
-    assert rep.max() == 0.0
 
 
 def test_clifford_relation_exact(gs):

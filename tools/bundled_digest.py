@@ -9,15 +9,13 @@ Then it runs each bundled scenario through ``cli.main`` into a temporary
 directory and prints one ``scenario file sha256`` line per output file and for the
 captured stderr, then one ``scenario exit <code>`` line.  After those it
 prints one ``probe name sha256`` line per array that the library computes on
-charts no bundled scenario reaches: the ``build_background`` arrays of sin
-and linear charts with the values of their concordance, torsion and frame
-orthonormality residuals, and ``evolve``, ``current`` with ``divergence``,
-``action_value``, ``dirac_residual`` and ``covariant_derivative`` on curved
-and flat grids, 1D and 3D (the curved ones on sin charts, where ``evolve``
-marches the skew split form and ``divergence`` takes the Gauss form
-D_1(sqrt(-g) J^1) / sqrt(-g) on x1; a linear chart's bounded x1 raises
-ChartError there, so that profile is probed through its background only);
-``sample_on_slice``, ``flux`` and ``gram`` on a
+charts no bundled scenario reaches: the ``build_background`` arrays of
+static-diagonal charts with the values of their concordance, torsion and
+frame orthonormality residuals, and ``evolve``, ``current`` with
+``divergence``, ``action_value``, ``dirac_residual`` and
+``covariant_derivative`` on curved and flat grids, 1D and 3D (on the curved
+ones ``evolve`` marches the skew split form and ``divergence`` takes the
+Gauss form D_1(sqrt(-g) J^1) / sqrt(-g) on x1); ``sample_on_slice``, ``flux`` and ``gram`` on a
 flat (8, 8, 1) grid for an x1 tilt, a tilt along the suppressed x3 and an
 off-node coordinate slice, where ``gram`` pairs each mode's
 ``sample_on_slice`` samples; and the (rows, entries) ladder maps of the
@@ -89,18 +87,17 @@ def scenario_lines():
 
 
 def background_lines():
-    for profile, eps in (("sin", 0.01), ("linear", 0.05)):
-        for shape in ((64, 1, 1), (8, 1, 1), (16, 16, 16)):
-            chart = geometry.static_diagonal_chart(0.0, 1.0, 2, (TWO_PI,) * 3, shape, epsilon=eps, profile=profile)
-            bg = geometry.build_background(chart)
-            label = "background-%s-%dx%dx%d" % ((profile,) + shape)
-            for name in BACKGROUND_ARRAYS:
-                arr = getattr(bg, name)
-                print(label, name, digest(np.broadcast_to(arr, chart.spatial_shape + arr.shape[3:])))
-            for name, value in geometry.concordance_residuals(bg).as_dict().items():
-                print(label, "concordance", name, repr(value))
-            print(label, "torsion_residual", repr(geometry.torsion_residual(bg)))
-            print(label, "frame_orthonormality_residual", repr(geometry.frame_orthonormality_residual(bg)))
+    for shape in ((64, 1, 1), (8, 1, 1), (16, 16, 16)):
+        chart = geometry.static_diagonal_chart(0.0, 1.0, 2, (TWO_PI,) * 3, shape, epsilon=0.01)
+        bg = geometry.build_background(chart)
+        label = "background-sin-%dx%dx%d" % shape
+        for name in BACKGROUND_ARRAYS:
+            arr = getattr(bg, name)
+            print(label, name, digest(np.broadcast_to(arr, chart.spatial_shape + arr.shape[3:])))
+        for name, value in geometry.concordance_residuals(bg).as_dict().items():
+            print(label, "concordance", name, repr(value))
+        print(label, "torsion_residual", repr(geometry.torsion_residual(bg)))
+        print(label, "frame_orthonormality_residual", repr(geometry.frame_orthonormality_residual(bg)))
 
 
 def field_lines(label, bg, initial, k):
@@ -117,11 +114,11 @@ def field_lines(label, bg, initial, k):
 
 def dynamics_lines():
     k = PhysicalConstants.natural_units(mass=1.0)
-    chart = geometry.static_diagonal_chart(0.0, 1.0, 40, (TWO_PI,) * 3, (32, 1, 1), epsilon=0.01, profile="sin")
+    chart = geometry.static_diagonal_chart(0.0, 1.0, 40, (TWO_PI,) * 3, (32, 1, 1), epsilon=0.01)
     init = dynamics.gaussian_packet(chart, k, center=np.pi, width=TWO_PI / 16.0, carrier_index=2)
     field_lines("curved-32x1x1", geometry.build_background(chart), init, k)
 
-    chart = geometry.static_diagonal_chart(0.0, 0.5, 8, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.01, profile="sin")
+    chart = geometry.static_diagonal_chart(0.0, 0.5, 8, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.01)
     rng = np.random.default_rng(5)
     init = rng.standard_normal((8, 8, 8, 4)) + 1j * rng.standard_normal((8, 8, 8, 4))
     field_lines("curved-8x8x8", geometry.build_background(chart), init, k)

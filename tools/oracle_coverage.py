@@ -6,9 +6,11 @@ each executable line of ``src/diracfock/*.py`` that no run reached, as
 ``path:line: source``.  Import-time lines are left out: the package is
 imported under the same trace first, and every line that runs then (module
 and class bodies, ``def`` lines, functions called at import) counts as
-reached.  Unreached lines that belong to a ``raise`` statement are listed
-apart, after the others, since they are error branches whose oracle is a
-test of the error, not a bundled report.  Standard library and numpy only:
+reached.  Unreached lines of error branches are listed apart, after the
+others, since their oracle is a test of the error, not a bundled report: the
+lines of a ``raise`` statement, and the header and body of an ``except``
+handler whose body only raises, or only prints to ``sys.stderr`` and returns
+exit code 2 or 3.  Standard library and numpy only:
 
     python3 tools/oracle_coverage.py
 
@@ -69,10 +71,25 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def raise_lines(path: Path) -> set[int]:
-    """Lines that belong to a raise statement."""
+def _reports(body: list[ast.stmt]) -> bool:
+    """An except body that only raises, or prints to sys.stderr and returns 2 or 3."""
+    if all(isinstance(stmt, ast.Raise) for stmt in body):
+        return True
+    if len(body) != 2 or not isinstance(body[0], ast.Expr) or not isinstance(body[1], ast.Return):
+        return False
+    call, ret = body[0].value, body[1].value
+    return (
+        isinstance(call, ast.Call) and ast.unparse(call.func) == "print"
+        and any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in call.keywords)
+        and isinstance(ret, ast.Constant) and ret.value in (2, 3)
+    )
+
+
+def error_lines(path: Path) -> set[int]:
+    """Lines of a raise statement, or of an except handler that only raises or reports."""
     tree = ast.parse(path.read_text())
-    return {n for node in ast.walk(tree) if isinstance(node, ast.Raise)
+    return {n for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) or (isinstance(node, ast.ExceptHandler) and _reports(node.body))
             for n in range(node.lineno, node.end_lineno + 1)}
 
 
@@ -96,8 +113,8 @@ def scopes(path: Path) -> dict[int, str]:
 def unreached(configs: list[str]) -> tuple[list[tuple[str, int]], float, list[tuple[str, int, str, str, bool]]]:
     """Run ``diracfock run <config>`` for each bundled scenario name or config path
     under the line trace.  Returns (config, exit code) pairs, the seconds traced and
-    every unreached line as (path, line, enclosing function, stripped source, in a
-    raise statement).  Import-time lines count as reached only if the package was
+    every unreached line as (path, line, enclosing function, stripped source, in an
+    error branch).  Import-time lines count as reached only if the package was
     first imported under the trace, so call it where nothing has imported it yet."""
     cli = _traced(importlib.import_module, "diracfock.cli")
     exits = []
@@ -113,10 +130,10 @@ def unreached(configs: list[str]) -> tuple[list[tuple[str, int]], float, list[tu
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text().splitlines()
         done = {line for f, line in reached if f == str(path)}
-        in_raise, scope = raise_lines(path), scopes(path)
+        in_error, scope = error_lines(path), scopes(path)
         rel = str(path.relative_to(SRC.parent))
         for line in sorted(executable_lines(path) - done):
-            lines.append((rel, line, scope.get(line, ""), text[line - 1].strip(), line in in_raise))
+            lines.append((rel, line, scope.get(line, ""), text[line - 1].strip(), line in in_error))
     return exits, traced, lines
 
 
@@ -124,13 +141,13 @@ def main() -> int:
     exits, traced, lines = unreached(_traced(importlib.import_module, "diracfock.scenarios").scenario_names())
     for name, code in exits:
         print(f"# {name}: exit {code}")
-    other = [f"{rel}:{line}: {src}" for rel, line, _, src, in_raise in lines if not in_raise]
-    raises = [f"{rel}:{line}: {src}" for rel, line, _, src, in_raise in lines if in_raise]
+    other = [f"{rel}:{line}: {src}" for rel, line, _, src, in_error in lines if not in_error]
+    errors = [f"{rel}:{line}: {src}" for rel, line, _, src, in_error in lines if in_error]
     print(f"# {len(exits)} scenarios traced in {traced:.1f} s; import-time lines left out")
     print(f"# unreached lines: {len(other)}")
     print("\n".join(other))
-    print(f"# unreached lines of raise statements: {len(raises)}")
-    print("\n".join(raises))
+    print(f"# unreached lines of error branches: {len(errors)}")
+    print("\n".join(errors))
     return 0
 
 
