@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fields import CurrentField, SpinorField, _check_grid
-from .geometry import Background, MetricChart, _nabla, _transport, covariant_derivative
-from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, FRAME, _apply, _Rows
+from .fields import _BLOCK, CurrentField, SpinorField, _block_rows, _check_grid
+from .geometry import Background, MetricChart, _nabla_blocks, _transport
+from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, FRAME, _Rows
 from .stencils import _central, differentiate  # noqa: F401 (perfbench's wrapper test reads dynamics.differentiate)
 
 __all__ = [
@@ -66,13 +66,19 @@ def _norms(v: np.ndarray, cell_volume: float) -> list[float]:
 
 
 def dirac_residual(psi: SpinorField, bg: Background, k: PhysicalConstants) -> SpinorField:
-    """i hbar sum_q gamma^q nabla_q psi - m c psi, returned as a field."""
-    acc = np.zeros_like(psi.values)
-    for q in bg.frame_terms:
-        nabla = covariant_derivative(psi, bg, q).values
-        acc += _apply(_GAMMA_ROWS[q], nabla)
-    res = 1j * k.hbar * acc - (k.mass * k.c) * psi.values
-    return psi.with_values(res)
+    """i hbar sum_q gamma^q nabla_q psi - m c psi, returned as a field, over the blocks
+    of ``geometry._nabla_blocks``: each spinor row sums its gamma^q terms from zero in
+    the order of bg.frame_terms, a phase +-1 as an add or subtract."""
+
+    def each(out, rows, nablas, tmp):
+        acc = np.moveaxis(out, -1, 0)
+        for q, w in nablas.items():
+            for c, (b, p) in enumerate(zip(_GAMMA_ROWS[q].perm, _GAMMA_ROWS[q].phase)):
+                (np.subtract if p == -1 else np.add)(acc[c], w[b] if p.imag == 0 else np.multiply(w[b], p, out=tmp[c]), out=acc[c])
+        np.multiply(1j * k.hbar, acc, out=acc)
+        acc -= np.multiply(k.mass * k.c, rows, out=tmp)
+
+    return psi.with_values(_nabla_blocks(psi, bg, tuple(bg.frame_terms), 1, each, psi.values.shape))
 
 
 def evolve(
@@ -181,16 +187,12 @@ def _march(initial: np.ndarray, bg: Background, k: PhysicalConstants, growth_abo
         yield out
 
 
-# Samples per block of the current's contraction: one real scratch row is 32 KiB.
-_BLOCK = 4096
-
-
 def _pair_plan(same: bool):
     """The pairs (a, b) whose conj(phi_a) psi_b = R_ab + i I_ab the rows of
     D^T gamma^q use, and for Re J^q and Im J^q (output rows 2q, 2q + 1) the
     (index into [R..., I...], sign) of each spinor row a's term, in order
     a = 0..3.  When phi is psi, R_ba = R_ab and I_ba = -I_ab exactly, so a
-    pair b < a reads (b, a)."""
+    pair b < a reads (b, a).  A phase without exactly one zero part raises ValueError."""
 
     def key(a: int, b: int) -> tuple[int, int]:
         return (b, a) if same and b < a else (a, b)
@@ -198,9 +200,11 @@ def _pair_plan(same: bool):
     rows = [list(zip(r.perm.tolist(), r.phase.tolist())) for r in _PAIRING_ROWS]
     pairs = sorted({key(a, b) for row in rows for a, (b, _) in enumerate(row)})
     terms: list[list[tuple[int, float]]] = []
-    for row in rows:
+    for q, row in enumerate(rows):
         re, im = [], []
         for a, (b, p) in enumerate(row):
+            if (p.real == 0) == (p.imag == 0):
+                raise ValueError(f"pairing row {q} entry {a}: phase {p} needs exactly one zero part")
             r = pairs.index(key(a, b))
             i = len(pairs) + r
             flip = 1.0 if key(a, b) == (a, b) else -1.0
@@ -283,16 +287,6 @@ class _RealityGuard:
     def check(self) -> None:
         if self.residual() > 1e-13:
             raise CurrentRealityError(f"current reality violated: max imaginary part {float(self.imag_max):.3e}")
-
-
-def _block_rows(spatial: tuple[int, ...], halo: bool = False) -> int:
-    """Time rows per block of a history over the spatial grid ``spatial`` (n1, n2, n3):
-    about _BLOCK grid samples and at least one row for a current; for the action
-    density, whose nabla_0 reads a 2-row halo on each side, about 2 _BLOCK samples
-    and at least 8 rows (32 rows at n1 = 256, where one block's conjugate is 512 KiB)."""
-    if halo:
-        return max(8, 2 * _BLOCK // int(np.prod(spatial)))
-    return max(1, _BLOCK // int(np.prod(spatial)))
 
 
 def current(psi: SpinorField, k: PhysicalConstants) -> CurrentField:
@@ -401,67 +395,52 @@ def action_value(
     The derivative part is antisymmetrized between psi and its conjugate, so
     it is real exactly; the mass form is real up to rounding, and the density
     stays complex so that rounding shows.  The forms are contracted from
-    their signed-permutation rows, over blocks of time rows: nabla_0 of a
-    block is read from the block with a 2-row halo on each side (clamped
-    to the axis, so the one-sided end rows see the same 5 rows as on the
-    whole axis), the spatial nabla_q from the block alone.  Only the complex
-    density spans the whole history.  Integration uses cell weights
-    sqrt(-det g) with trapezoid ends on the time axis.  A time axis of 2 to
-    4 nodes raises ValueError, as the stencil does; a field off bg's spatial
-    grid raises GridMismatchError.
+    their signed-permutation rows over the blocks of ``geometry._nabla_blocks``.
+    Integration uses cell weights sqrt(-det g) with trapezoid ends on the time
+    axis.  A time axis of 2 to 4 nodes raises ValueError, as the stencil does;
+    a field off bg's spatial grid raises GridMismatchError.
     """
-    _check_grid(psi.chart, bg.chart)
-    v = psi.values
-    nt, spatial = v.shape[0], v.shape[1:-1]
-    block = _block_rows(spatial, halo=True)
-    dens = np.zeros(v.shape[:-1], dtype=np.complex128)
-    n = min(block, nt)
-    cpsi = np.empty((4, n) + spatial, dtype=np.complex128)  # planar: component a first
-    z, t = np.empty((2, n) + spatial, dtype=np.complex128)
-    for s in range(0, nt, block):
-        e = min(s + block, nt)
-        m = e - s
-        cpsi_, z_, t_, d = cpsi[:, :m], z[:m], t[:m], dens[s:e]
-        np.conjugate(np.moveaxis(v[s:e], -1, 0), out=cpsi_)
-        for q in bg.frame_terms:
-            if q == 0:
-                lo, hi = max(0, min(s - 2, nt - 5)), min(nt, max(e + 2, 5))
-                w = _nabla(v[lo:hi], bg, 0, psi.chart)[s - lo : s - lo + m]
-            else:
-                w = _nabla(v[s:e], bg, q, psi.chart)
-            _form(cpsi_, _PAIRING_ROWS[q], w, z_, t_)
-            np.subtract(z_, np.conjugate(z_, out=t_), out=z_)
-            d += np.multiply(z_, 0.5j * k.hbar, out=z_)
-        d -= np.multiply(_form(cpsi_, _DIRAC_FORM_ROWS.T, v[s:e], z_, t_), k.mass * k.c, out=z_)
-    return _integrate(dens, psi.chart, bg)
+
+    def each(d, rows, nablas, cpsi, zt):
+        z, t = zt[:2]
+        np.conjugate(rows, out=cpsi)
+        for q, w in nablas.items():
+            _form(cpsi, _PAIRING_ROWS[q], w, z, t)
+            np.subtract(z, np.conjugate(z, out=t), out=z)
+            d += np.multiply(z, 0.5j * k.hbar, out=z)
+        d -= np.multiply(_form(cpsi, _DIRAC_FORM_ROWS.T, rows, z, t), k.mass * k.c, out=z)
+
+    return _integrate(_nabla_blocks(psi, bg, tuple(bg.frame_terms), 2, each, psi.values.shape[:-1]), psi.chart, bg)
 
 
 def _form(cpsi: np.ndarray, rows: _Rows, w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """sum_ab cpsi_a M_ab w_b for the signed permutation M into ``out``, with cpsi
-    planar (component a first), one component a at a time.
+    and w planar (component first), one component a at a time.
 
+    A phase +-1 (but a first -1) folds into the sum's add or subtract, as
+    (-w_b) cpsi_a is exactly -(w_b cpsi_a).
     Each complex product is (phase w_b) cpsi_a in that operand order at every
     size: the SIMD complex multiply is not symmetric in rounding, and numpy's
     temporary elision would swap a written cpsi_a (phase w_b) above 256 KiB.
     """
-    for a in range(4):
+    for a, (b, p) in enumerate(zip(rows.perm, rows.phase)):
         dst = out if a == 0 else tmp
-        np.multiply(w[..., rows.perm[a]], rows.phase[a], out=dst)
-        np.multiply(dst, cpsi[a], out=dst)
+        np.multiply(w[b] if p == 1 or (a and p == -1) else np.multiply(w[b], p, out=dst), cpsi[a], out=dst)
         if a:
-            out += tmp
+            (np.subtract if p == -1 else np.add)(out, tmp, out=out)
     return out
 
 
 def _integrate(dens: np.ndarray, chart: MetricChart, bg: Background) -> complex:
     """Sum of a density over the chart: cell weights sqrt(-det g) dt dV with
-    trapezoid ends on the time axis."""
+    trapezoid ends on the time axis.  The caller's density is scaled in place."""
     weights = np.ones((len(dens), 1, 1, 1))
     if len(chart.axes[0]) > 1:
         weights[0] *= 0.5
         weights[-1] *= 0.5
-    cell = chart.dt * chart.cell_volume
-    return complex(np.sum(dens * weights * bg.sqrt_neg_det) * cell)
+    dens *= weights
+    dens *= bg.sqrt_neg_det
+    return complex(np.sum(dens) * (chart.dt * chart.cell_volume))
 
 
 def dispersion_mode(

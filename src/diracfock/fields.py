@@ -8,6 +8,9 @@ import numpy as np
 
 __all__ = ["SpinorField", "CurrentField", "GridMismatchError"]
 
+# Samples per block of the current's contraction: one real scratch row is 32 KiB.
+_BLOCK = 4096
+
 
 class GridMismatchError(ValueError):
     """Fields defined on incompatible grids were combined."""
@@ -18,6 +21,16 @@ def _check_grid(chart, ref) -> None:
     the time axes may differ."""
     if not (chart.spacing[1:] == ref.spacing[1:] and all(map(np.array_equal, chart.axes[1:], ref.axes[1:]))):
         raise GridMismatchError("fields live on different grids")
+
+
+def _block_rows(spatial: tuple[int, ...], halo: bool = False) -> int:
+    """Time rows per block of a history over the spatial grid ``spatial`` (n1, n2, n3):
+    about _BLOCK grid samples and at least one row for a current; for nabla, whose
+    d_0 reads a 2-row halo on each side, about 2 _BLOCK samples and at least 8 rows
+    (32 rows at n1 = 256, where one block's conjugate is 512 KiB)."""
+    if halo:
+        return max(8, 2 * _BLOCK // int(np.prod(spatial)))
+    return max(1, _BLOCK // int(np.prod(spatial)))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,9 @@ def differentiate(values: np.ndarray, axis: int, spacing: float, periodic: bool)
     back to one-sided stencils of the same order.
     """
     n = values.shape[axis]
+    _check_nodes(n, axis)
     if n == 1:
         return np.zeros_like(values)
-    if n < 5:
-        raise ValueError(f"axis {axis} has {n} nodes, need at least 5 for the stencil")
 
     # Integer data is promoted once, so the sums can be scaled in place.
     moved = np.moveaxis(np.asarray(values, dtype=np.result_type(values, 1.0)), axis, 0)
@@ -37,13 +36,7 @@ def differentiate(values: np.ndarray, axis: int, spacing: float, periodic: bool)
         src = np.concatenate((moved[n - 2 :], moved, moved[:2]))
         out = _central(src, np.empty_like(src[:n]), np.empty_like(src[:n]))
     else:
-        # The same on the interior rows; the far end rows mirror the near ones
-        # with negated weights, which is exactly 0 - w0 x0 - w1 x1 - ...
-        out = np.empty_like(moved)
-        _central(moved, out[2 : n - 2], np.empty_like(moved[4:]))
-        for i, weights in enumerate((_EDGE0, _EDGE1)):
-            out[i] = sum(w * moved[k] for k, w in enumerate(weights))
-            out[n - 1 - i] = sum(-w * moved[n - 1 - k] for k, w in enumerate(weights))
+        out = _bounded(moved, np.empty_like(moved), np.empty_like(moved[4:]))
     np.divide(out, 12.0 * spacing, out=out)
     return np.moveaxis(out, 0, axis)
 
@@ -58,4 +51,21 @@ def _central(src: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     out += np.multiply(src[3 : n + 3], 8, out=tmp)
     out -= src[4 : n + 4]
     return out
+
+
+def _bounded(src: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The weights along a bounded axis 0 into ``out``: central inside, ``tmp`` their scratch, one-sided
+    at the ends, the far rows mirroring the near ones negated, exactly 0 - w0 x0 - w1 x1 - ...; 1 / (12 h) is the caller's."""
+    n = len(src)
+    _central(src, out[2 : n - 2], tmp[: n - 4])
+    for i, weights in enumerate((_EDGE0, _EDGE1)):
+        out[i] = sum(w * src[k] for k, w in enumerate(weights))
+        out[n - 1 - i] = sum(-w * src[n - 1 - k] for k, w in enumerate(weights))
+    return out
+
+
+def _check_nodes(n: int, axis: int) -> None:
+    """An axis takes the stencil on 5 nodes or more, or is suppressed on 1."""
+    if 1 < n < 5:
+        raise ValueError(f"axis {axis} has {n} nodes, need at least 5 for the stencil")
 

@@ -41,7 +41,7 @@ from diracfock.dynamics import _march, _operator, _raw_pair_current
 from diracfock.geometry import _transport
 from diracfock.pairing import _slice_integral
 from diracfock.stencils import differentiate
-from diracfock.spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, _apply
+from diracfock.spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, _apply, _Rows
 
 TWO_PI = 2.0 * np.pi
 
@@ -515,6 +515,19 @@ def test_row_pair_current_equals_the_dense_einsum_bit_for_bit(shape, seed, same,
         assert not np.any(j.imag)  # the row order cancels Im J(psi, psi) exactly
 
 
+def test_pair_plan_rejects_a_phase_with_two_nonzero_parts(monkeypatch):
+    # D^T gamma^2's first phase turned by e^{i 1e-10}: the plan read only its
+    # -1e-10 real part, a reality residual of 0.25 where 1e-10 was due
+    rows = list(_PAIRING_ROWS)
+    phase = rows[2].phase.copy()
+    phase[0] *= np.exp(1e-10j)
+    rows[2] = _Rows(rows[2].perm, phase)
+    monkeypatch.setattr(dynamics, "_PAIRING_ROWS", tuple(rows))
+    for same in (False, True):
+        with pytest.raises(ValueError, match="pairing row 2 entry 0"):
+            dynamics._pair_plan(same)
+
+
 def test_the_reality_guard_reads_a_computed_imaginary_part(nat, non_hermitian_pairing):
     chart = flat_chart(shape=(8, 1, 1), steps=2)
     rng = np.random.default_rng(5)
@@ -640,6 +653,25 @@ def test_action_is_real_on_arbitrary_fields(nat):
         assert abs(s.imag) <= 1e-12 * max(1.0, abs(s.real))
 
 
+def _reference_nabla(psi, bg, q):
+    """nabla_q psi over the whole history, Y_q^q d_q psi + A_q psi, as covariant_derivative
+    took it before the blocked kernel; zeros on a suppressed axis."""
+    if q not in bg.frame_terms:
+        return np.zeros_like(psi.values)
+    u, a = bg.frame_terms[q]
+    d = differentiate(psi.values, axis=q, spacing=psi.chart.spacing[q], periodic=q > 0)
+    d = d if isinstance(u, float) else u[..., None] * d
+    return d if a is None else d + np.einsum("xyzab,txyzb->txyza", a, psi.values)
+
+
+def _reference_dirac_residual(psi, bg, k):
+    """dirac_residual's whole-history body before it was blocked."""
+    acc = np.zeros_like(psi.values)
+    for q in bg.frame_terms:
+        acc += _apply(_GAMMA_ROWS[q], _reference_nabla(psi, bg, q))
+    return 1j * k.hbar * acc - (k.mass * k.c) * psi.values
+
+
 def _dense_action(psi, bg, k):
     """action_value written with dense 4x4 forms and 3-operand einsums."""
     gs = canonical_gamma_set()
@@ -647,7 +679,7 @@ def _dense_action(psi, bg, k):
     dens = np.zeros(psi.values.shape[:-1], dtype=np.complex128)
     for q in bg.frame_terms:
         m = gs.dirac_form.T @ gs.gamma[q]
-        z = np.einsum("...A,Ab,...b->...", cpsi, m, covariant_derivative(psi, bg, q).values)
+        z = np.einsum("...A,Ab,...b->...", cpsi, m, _reference_nabla(psi, bg, q))
         dens += 0.5j * k.hbar * (z - np.conj(z))
     dens -= k.mass * k.c * np.einsum("...A,Ab,...b->...", cpsi, gs.dirac_form.T, psi.values)
     weights = np.ones(len(psi.chart.axes[0]))
@@ -687,7 +719,7 @@ def _reference_action(psi, bg, k, rows=None):
     are taken on that many time rows of the full-history arrays at a time."""
     v = psi.values
     cpsi = np.conj(v)
-    nabla = {q: covariant_derivative(psi, bg, q).values for q in bg.frame_terms}
+    nabla = {q: _reference_nabla(psi, bg, q) for q in bg.frame_terms}
     dens = np.zeros(v.shape[:-1], dtype=np.complex128)
     step = rows or len(v)
     for s in range(0, len(v), step):
@@ -709,6 +741,7 @@ def _reference_action(psi, bg, k, rows=None):
 BLOCKED_CHARTS = {
     "flat-1d": lambda steps: flat_chart(shape=(256, 1, 1), t_span=1.0, steps=steps),
     "flat-8^3": lambda steps: flat_chart(shape=(8, 8, 8), t_span=0.5, steps=steps),
+    "curved-sin-1d": lambda steps: static_diagonal_chart(0.0, 1.0, steps, (TWO_PI,) * 3, (64, 1, 1), epsilon=0.3),
     "curved-sin-8^3": lambda steps: static_diagonal_chart(
         0.0, 0.5, steps, (TWO_PI,) * 3, (8, 8, 8), epsilon=0.3
     ),
@@ -722,7 +755,9 @@ def test_blocked_action_equals_the_full_history_body_bit_for_bit(nat, name):
     # halo on both sides, then a last block of 3 rows that clamps its halo).
     # On the 1D chart B = 32, so the reference's form temporaries span
     # 20 KiB to 268 KiB, both sides of numpy's 256 KiB elision threshold;
-    # its 3-row evaluation stays below it.
+    # its 3-row evaluation stays below it.  dirac_residual and every
+    # covariant_derivative, from the same kernel, equal the whole-history
+    # expressions of the reference nabla.
     b = dynamics._block_rows(BLOCKED_CHARTS[name](10).spatial_shape, halo=True)
     massless = PhysicalConstants.natural_units(mass=0.0)
     rng = np.random.default_rng(23)
@@ -736,6 +771,9 @@ def test_blocked_action_equals_the_full_history_body_bit_for_bit(nat, name):
         s = action_value(psi, bg, massless)
         assert s == _reference_action(psi, bg, massless)
         assert s.imag == 0.0
+        assert np.array_equal(dirac_residual(psi, bg, nat).values, _reference_dirac_residual(psi, bg, nat))
+        for q in range(4):
+            assert np.array_equal(covariant_derivative(psi, bg, q).values, _reference_nabla(psi, bg, q)), (nt, q)
 
 
 def test_action_rejects_short_time_axes_and_other_grids(nat):
@@ -777,11 +815,13 @@ def test_quartic_is_the_same_at_every_size(nat, samples):
 
 def test_action_holds_about_one_history_of_temporaries(nat):
     # A (301, 256, 1, 1, 4) history: the complex density is a quarter of a
-    # history, and _integrate's weighted copies take as much again; the
-    # 32-row block's buffers and derivatives take the rest.  Measured peak
-    # 0.98 histories; the bound leaves 0.22.  The full-history body,
-    # with its conjugate, two covariant derivatives and form products,
-    # measured 4.54.
+    # history, scaled in place by _integrate; the kernel's one allocation for
+    # a 32-row block (its 36-row halo, both derivatives, and the stencil
+    # scratch and wrap halo that the conjugate and forms reuse) takes 0.57.
+    # Measured peak 0.87 histories; the bound leaves 0.13.  Blocked through
+    # per-call differentiate temporaries it measured 0.98, and the
+    # full-history body, with its conjugate, two covariant derivatives and
+    # form products, 4.54.
     chart = flat_chart(shape=(256, 1, 1), t_span=1.0, steps=300)
     bg = build_background(chart)
     rng = np.random.default_rng(6)
@@ -794,7 +834,28 @@ def test_action_holds_about_one_history_of_temporaries(nat):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.2 * history
+    assert peak < 1.0 * history
+
+
+def test_dirac_residual_holds_its_output_and_one_block(nat):
+    # The same history: the output is one history and the kernel's allocation
+    # 0.57 of one, with its halo, both derivatives and the scratch of the
+    # gamma^q sums.  Measured peak 1.62 histories; the bound leaves 0.13.  The
+    # whole-history body, with a covariant derivative and its gamma^q image
+    # per direction, measured 5.04.
+    chart = flat_chart(shape=(256, 1, 1), t_span=1.0, steps=300)
+    bg = build_background(chart)
+    rng = np.random.default_rng(6)
+    shape = chart.shape + (4,)
+    psi = SpinorField(chart, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    history = psi.values.nbytes
+    tracemalloc.start()
+    try:
+        dirac_residual(psi, bg, nat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * history
 
 
 # |central difference - Euler-Lagrange pairing| measured at most 3.6e-14 over

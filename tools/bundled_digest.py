@@ -15,7 +15,11 @@ frame orthonormality residuals, and ``evolve``, ``current`` with
 ``divergence``, ``action_value``, ``dirac_residual`` and
 ``covariant_derivative`` on curved and flat grids, 1D and 3D (on the curved
 ones ``evolve`` marches the skew split form and ``divergence`` takes the
-Gauss form D_1(sqrt(-g) J^1) / sqrt(-g) on x1); ``sample_on_slice``, ``flux`` and ``gram`` on a
+Gauss form D_1(sqrt(-g) J^1) / sqrt(-g) on x1), among them a curved and a
+flat (64, 1, 1) grid with 2B + 3 time rows, B the rows of one block of
+nabla (``dynamics._block_rows(..., halo=True)``), so that the last three
+take an inner block with a halo on both sides and a last block of 3 rows;
+``sample_on_slice``, ``flux`` and ``gram`` on a
 flat (8, 8, 1) grid for an x1 tilt, a tilt along the suppressed x3 and an
 off-node coordinate slice, where ``gram`` pairs each mode's
 ``sample_on_slice`` samples; and the (rows, entries) ladder maps of the
@@ -126,6 +130,14 @@ def dynamics_lines():
     chart = geometry.minkowski_chart(0.0, 0.5, 8, (TWO_PI,) * 3, (8, 8, 8))
     wave = dynamics.plane_wave(chart, (1, 1, 0), k)
     field_lines("flat-8x8x8", geometry.build_background(chart), wave.values[0], k)
+
+    steps = 2 * dynamics._block_rows((64, 1, 1), halo=True) + 2  # 2B + 3 time rows
+    chart = geometry.static_diagonal_chart(0.0, 0.01 * steps, steps, (TWO_PI,) * 3, (64, 1, 1), epsilon=0.01)
+    init = dynamics.gaussian_packet(chart, k, center=np.pi, width=TWO_PI / 16.0, carrier_index=2)
+    field_lines("curved-64x1x1-%d" % (steps + 1), geometry.build_background(chart), init, k)
+    chart = geometry.minkowski_chart(0.0, 0.01 * steps, steps, (TWO_PI,) * 3, (64, 1, 1))
+    wave = dynamics.plane_wave(chart, (3, 0, 0), k)
+    field_lines("flat-64x1x1-%d" % (steps + 1), geometry.build_background(chart), wave.values[0], k)
 
 
 def march_lines():
