@@ -7,14 +7,14 @@ wave is u exp(i(k.x - w x0)) with w = sqrt(|k|^2 + mu^2) and mu = mc/hbar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fields import _BLOCK, CurrentField, SpinorField, _block_rows, _check_grid
-from .geometry import Background, MetricChart, _nabla_blocks, _transport
-from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, FRAME, _Rows
+from .fields import _BLOCK, CurrentField, SpinorField, _block_rows, _check_grid, _halo_blocks
+from .geometry import Background, MetricChart, _nabla_blocks, _transport, covariant_derivative
+from .spin_algebra import _DIRAC_FORM_ROWS, _GAMMA_ROWS, _PAIRING_ROWS, FRAME, _apply, _Rows
 from .stencils import _central, differentiate  # noqa: F401 (perfbench's wrapper test reads dynamics.differentiate)
 
 __all__ = [
@@ -66,19 +66,16 @@ def _norms(v: np.ndarray, cell_volume: float) -> list[float]:
 
 
 def dirac_residual(psi: SpinorField, bg: Background, k: PhysicalConstants) -> SpinorField:
-    """i hbar sum_q gamma^q nabla_q psi - m c psi, returned as a field, over the blocks
-    of ``geometry._nabla_blocks``: each spinor row sums its gamma^q terms from zero in
-    the order of bg.frame_terms, a phase +-1 as an add or subtract."""
-
-    def each(out, rows, nablas, tmp):
-        acc = np.moveaxis(out, -1, 0)
-        for q, w in nablas.items():
-            for c, (b, p) in enumerate(zip(_GAMMA_ROWS[q].perm, _GAMMA_ROWS[q].phase)):
-                (np.subtract if p == -1 else np.add)(acc[c], w[b] if p.imag == 0 else np.multiply(w[b], p, out=tmp[c]), out=acc[c])
-        np.multiply(1j * k.hbar, acc, out=acc)
-        acc -= np.multiply(k.mass * k.c, rows, out=tmp)
-
-    return psi.with_values(_nabla_blocks(psi, bg, tuple(bg.frame_terms), 1, each, psi.values.shape))
+    """i hbar sum_q gamma^q nabla_q psi - m c psi, returned as a field; per block of time rows,
+    nabla_q from covariant_derivative on the block and its halo, so no temporary spans the history."""
+    v, out = psi.values, np.empty_like(psi.values)
+    for s, e, lo, hi in _halo_blocks(len(v), v.shape[1:-1]):
+        part = replace(psi, chart=replace(psi.chart, axes=(psi.taxis[lo:hi],) + psi.chart.axes[1:]), values=v[lo:hi])
+        acc = np.zeros_like(out[s:e])
+        for q in bg.frame_terms:
+            acc += _apply(_GAMMA_ROWS[q], covariant_derivative(part, bg, q).values[s - lo : e - lo])
+        out[s:e] = 1j * k.hbar * acc - (k.mass * k.c) * v[s:e]
+    return psi.with_values(out)
 
 
 def evolve(
@@ -400,25 +397,27 @@ def action_value(
     axis.  A time axis of 2 to 4 nodes raises ValueError, as the stencil does;
     a field off bg's spatial grid raises GridMismatchError.
     """
-
-    def each(d, rows, nablas, cpsi, zt):
-        z, t = zt[:2]
-        np.conjugate(rows, out=cpsi)
+    v = psi.values
+    n, spatial = min(_block_rows(v.shape[1:-1], halo=True), len(v)), v.shape[1:-1]
+    dens = np.zeros(v.shape[:-1], dtype=np.complex128)
+    cpsi = np.empty((4, n) + spatial, dtype=np.complex128)  # planar: component a first
+    z, t = np.empty_like(cpsi[:2])
+    for s, e, rows, nablas in _nabla_blocks(psi, bg, tuple(bg.frame_terms)):
+        cpsi_, z_, t_, d = cpsi[:, : e - s], z[: e - s], t[: e - s], dens[s:e]
+        np.conjugate(rows, out=cpsi_)
         for q, w in nablas.items():
-            _form(cpsi, _PAIRING_ROWS[q], w, z, t)
-            np.subtract(z, np.conjugate(z, out=t), out=z)
-            d += np.multiply(z, 0.5j * k.hbar, out=z)
-        d -= np.multiply(_form(cpsi, _DIRAC_FORM_ROWS.T, rows, z, t), k.mass * k.c, out=z)
-
-    return _integrate(_nabla_blocks(psi, bg, tuple(bg.frame_terms), 2, each, psi.values.shape[:-1]), psi.chart, bg)
+            _form(cpsi_, _PAIRING_ROWS[q], w, z_, t_)
+            np.subtract(z_, np.conjugate(z_, out=t_), out=z_)
+            d += np.multiply(z_, 0.5j * k.hbar, out=z_)
+        d -= np.multiply(_form(cpsi_, _DIRAC_FORM_ROWS.T, rows, z_, t_), k.mass * k.c, out=z_)
+    return _integrate(dens, psi.chart, bg)
 
 
 def _form(cpsi: np.ndarray, rows: _Rows, w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """sum_ab cpsi_a M_ab w_b for the signed permutation M into ``out``, with cpsi
-    and w planar (component first), one component a at a time.
+    and w planar (component first), one component a at a time; a phase +-1 (but
+    a first -1) folds into an add or subtract, as (-w_b) cpsi_a is -(w_b cpsi_a).
 
-    A phase +-1 (but a first -1) folds into the sum's add or subtract, as
-    (-w_b) cpsi_a is exactly -(w_b cpsi_a).
     Each complex product is (phase w_b) cpsi_a in that operand order at every
     size: the SIMD complex multiply is not symmetric in rounding, and numpy's
     temporary elision would swap a written cpsi_a (phase w_b) above 256 KiB.
@@ -439,8 +438,7 @@ def _integrate(dens: np.ndarray, chart: MetricChart, bg: Background) -> complex:
         weights[0] *= 0.5
         weights[-1] *= 0.5
     dens *= weights
-    dens *= bg.sqrt_neg_det
-    return complex(np.sum(dens) * (chart.dt * chart.cell_volume))
+    return complex(np.sum(np.multiply(dens, bg.sqrt_neg_det, out=dens)) * (chart.dt * chart.cell_volume))
 
 
 def dispersion_mode(

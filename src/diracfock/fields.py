@@ -24,13 +24,17 @@ def _check_grid(chart, ref) -> None:
 
 
 def _block_rows(spatial: tuple[int, ...], halo: bool = False) -> int:
-    """Time rows per block of a history over the spatial grid ``spatial`` (n1, n2, n3):
-    about _BLOCK grid samples and at least one row for a current; for nabla, whose
-    d_0 reads a 2-row halo on each side, about 2 _BLOCK samples and at least 8 rows
-    (32 rows at n1 = 256, where one block's conjugate is 512 KiB)."""
-    if halo:
-        return max(8, 2 * _BLOCK // int(np.prod(spatial)))
-    return max(1, _BLOCK // int(np.prod(spatial)))
+    """Time rows per block of a history over the spatial grid (n1, n2, n3): about _BLOCK samples and at least
+    one row, or 8 for nabla, whose d_0 reads a 2-row halo on each side (16 rows at n1 = 256)."""
+    return max(8 if halo else 1, _BLOCK // int(np.prod(spatial)))
+
+
+def _halo_blocks(nt: int, spatial: tuple[int, ...]):
+    """(s, e, lo, hi) per block s .. e - 1 of nt time rows, with d_0's 2-row halo lo .. hi - 1 clamped to the axis."""
+    step = _block_rows(spatial, halo=True)
+    for s in range(0, nt, step):
+        e = min(s + step, nt)
+        yield s, e, max(0, min(s - 2, nt - 5)), min(nt, max(e + 2, 5))
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import SpinorField, _block_rows, _check_grid
+from .fields import SpinorField, _block_rows, _check_grid, _halo_blocks
 from .spin_algebra import _CHIRALITY_ROWS, _DIRAC_FORM_ROWS, _GAMMA_ROWS, _SKEW_METRIC_ROWS, FRAME, _apply
-from .stencils import _bounded, _central, _check_nodes, differentiate
+from .stencils import _bounded, _central, differentiate
 
 __all__ = [
     "ChartError",
@@ -316,53 +316,42 @@ def covariant_derivative(psi: SpinorField, bg: Background, q: int) -> SpinorFiel
     part, A_q included, so conj(nabla psi) = nabla conj(psi) exactly.  A
     field off the background's spatial grid raises GridMismatchError.
     """
-    return psi.with_values(_nabla_blocks(psi, bg, (q,), 0, lambda o, rows, d: np.copyto(o, np.moveaxis(d[q], 0, -1)), psi.values.shape))
+    out = np.empty_like(psi.values)
+    for s, e, _, nablas in _nabla_blocks(psi, bg, (q,)):
+        np.copyto(out[s:e], np.moveaxis(nablas[q], 0, -1))
+    return psi.with_values(out)
 
 
-def _nabla_blocks(psi: SpinorField, bg: Background, qs: tuple[int, ...], scratch: int, each, shape) -> np.ndarray:
-    """The one nabla_q kernel: a complex history of ``shape`` from zeros, whose rows s .. e - 1 of
-    each block of _block_rows(spatial, halo=True) rows each(out[s:e], rows, nablas, *bufs) fills
-    from psi's rows, {q: nabla_q psi on them} for q in ``qs`` and ``scratch`` buffers, component
-    first (4, e - s, n1, n2, n3), in one allocation, the scratch over the kernel's own, so it
-    keeps nothing between blocks.  A block is copied once, with the 2-row
-    halo of d_0 clamped to the axis, as a contiguous slice of rows of component planes that np.take
-    wraps along a spatial axis; 1 / (12 h) and Y_q^q scale the real view, rounding as numpy's
-    complex divide and product by a real.  A suppressed axis gives zeros."""
+def _nabla_blocks(psi: SpinorField, bg: Background, qs: tuple[int, ...]):
+    """The one nabla_q kernel: per block s .. e - 1 of _halo_blocks, (s, e, rows, {q: nabla_q psi on them}), component
+    first (4, e - s, n1, n2, n3), in buffers the next block reuses.  The block and its halo are copied once as rows of
+    component planes, wrapped by np.take along a spatial axis; 1 / (12 h) and Y_q^q scale the real view, rounding as
+    numpy's complex divide and product by a real.  A suppressed axis gives zeros."""
     _check_grid(psi.chart, bg.chart)
-    v, out = psi.values, np.zeros(shape, dtype=np.complex128)
-    nt, spatial = v.shape[0], v.shape[1:-1]
-    for q in qs:
-        _check_nodes(v.shape[q], q)
-    step = _block_rows(spatial, halo=True)
-    n, plane = min(step, nt), (4,) + spatial
-    size, nh = int(np.prod(plane)), min(n + 4, nt)
-    wrap = max([n * size // v.shape[q] * (v.shape[q] + 4) for q in qs if q and v.shape[q] > 1], default=0)
-    mem = np.zeros((1 + len(qs)) * nh * size + max(n * size + wrap, scratch * n * size), dtype=np.complex128)
-    halo, *nablas = mem[: (1 + len(qs)) * nh * size].reshape((1 + len(qs), nh) + plane)
-    lent = mem[(1 + len(qs)) * nh * size :]
-    tmp = lent[: n * size].reshape((n,) + plane)
-    bufs = list(lent[: scratch * n * size].reshape((scratch, 4, n) + spatial))
-    for s in range(0, nt, step):
-        e = min(s + step, nt)
-        lo, hi = max(0, min(s - 2, nt - 5)), min(nt, max(e + 2, 5))
+    v, nt, spatial = psi.values, len(psi.values), psi.values.shape[1:-1]
+    for q in qs:  # as differentiate: 1 node or at least 5
+        if 1 < v.shape[q] < 5:
+            raise ValueError(f"axis {q} has {v.shape[q]} nodes, need at least 5 for the stencil")
+    n = min(_block_rows(spatial, halo=True), nt)
+    halo, *nablas = np.zeros((1 + len(qs), min(n + 4, nt), 4) + spatial, dtype=np.complex128)
+    tmp = np.empty_like(halo[:n])
+    wraps = {q: np.empty(tmp.shape[: q + 1] + (v.shape[q] + 4,) + tmp.shape[q + 2 :], dtype=np.complex128) for q in qs if q and v.shape[q] > 1}
+    for s, e, lo, hi in _halo_blocks(nt, spatial):
         np.copyto(halo[: hi - lo], np.moveaxis(v[lo:hi], -1, 1))
         rows, ds = halo[s - lo : e - lo], {}
         for q, d in zip(qs, nablas):
-            u, a = bg.frame_terms.get(q, (1.0, None))  # none on a suppressed axis
-            nq, ds[q] = v.shape[q], d[s - lo : e - lo]
-            if q and nq > 1:
-                src = lent[n * size :][: rows.size // nq * (nq + 4)].reshape(rows.shape[: q + 1] + (nq + 4,) + rows.shape[q + 2 :])
-                np.take(rows, np.arange(-2, nq + 2), axis=q + 1, out=src, mode="wrap")
+            (u, a), ds[q] = bg.frame_terms.get(q, (1.0, None)), d[s - lo : e - lo]  # no terms on a suppressed axis
+            if q in wraps:
+                src = np.take(rows, np.arange(-2, v.shape[q] + 2), axis=q + 1, out=wraps[q][: e - s], mode="wrap")
                 _central(*(np.moveaxis(b, q + 1, 0) for b in (src, ds[q], tmp[: e - s])))
-            elif nq > 1:
+            elif v.shape[q] > 1:
                 _bounded(halo[: hi - lo], d[: hi - lo], tmp)
             dr = ds[q].view(np.float64)
             for f in (1.0 / (12.0 * psi.chart.spacing[q]),) + (() if isinstance(u, float) else (u,)):
                 np.multiply(dr, f, out=dr)
             if a is not None:
                 ds[q] += np.moveaxis(np.einsum("xyzab,txyzb->txyza", a, v[s:e]), -1, 1)
-        each(out[s:e], np.moveaxis(rows, 1, 0), {q: np.moveaxis(d, 1, 0) for q, d in ds.items()}, *(b[:, : e - s] for b in bufs))
-    return out
+        yield s, e, np.moveaxis(rows, 1, 0), {q: np.moveaxis(d, 1, 0) for q, d in ds.items()}
 
 
 def _transport(v: np.ndarray, bg: Background, q: int, chart: MetricChart) -> np.ndarray:

@@ -284,8 +284,7 @@ def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     # residual; a central difference of action_value checks that on draw one.
     eps = 1e-3
     variations = []
-    step = _block_rows(base_chart.spatial_shape)
-    dens = np.empty(shape[:-1], dtype=np.complex128)
+    step, dens = _block_rows(base_chart.spatial_shape), np.empty(shape[:-1], dtype=np.complex128)
     for n in range(20):
         v = _complex_normal(rng, shape)
         # summation by parts needs the perturbation to vanish near the

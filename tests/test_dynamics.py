@@ -751,9 +751,9 @@ BLOCKED_CHARTS = {
 @pytest.mark.parametrize("name", sorted(BLOCKED_CHARTS))
 def test_blocked_action_equals_the_full_history_body_bit_for_bit(nat, name):
     # time-node counts around the block size B: one block of 5 rows, B - 1,
-    # B, B + 1 (a last block of 1 row), and 2B + 3 (an inner block with a
-    # halo on both sides, then a last block of 3 rows that clamps its halo).
-    # On the 1D chart B = 32, so the reference's form temporaries span
+    # B, B + 1 (a last block of 1 row), 2B + 3 and 4B + 3 (inner blocks with
+    # a halo on both sides, then a last block of 3 rows that clamps its halo).
+    # On the 1D chart B = 16, so the reference's form temporaries span
     # 20 KiB to 268 KiB, both sides of numpy's 256 KiB elision threshold;
     # its 3-row evaluation stays below it.  dirac_residual and every
     # covariant_derivative, from the same kernel, equal the whole-history
@@ -761,7 +761,7 @@ def test_blocked_action_equals_the_full_history_body_bit_for_bit(nat, name):
     b = dynamics._block_rows(BLOCKED_CHARTS[name](10).spatial_shape, halo=True)
     massless = PhysicalConstants.natural_units(mass=0.0)
     rng = np.random.default_rng(23)
-    for nt in (5, b - 1, b, b + 1, 2 * b + 3):
+    for nt in (5, b - 1, b, b + 1, 2 * b + 3, 4 * b + 3):
         chart = BLOCKED_CHARTS[name](nt - 1)
         bg = build_background(chart)
         shape = chart.shape + (4,)
@@ -815,13 +815,12 @@ def test_quartic_is_the_same_at_every_size(nat, samples):
 
 def test_action_holds_about_one_history_of_temporaries(nat):
     # A (301, 256, 1, 1, 4) history: the complex density is a quarter of a
-    # history, scaled in place by _integrate; the kernel's one allocation for
-    # a 32-row block (its 36-row halo, both derivatives, and the stencil
-    # scratch and wrap halo that the conjugate and forms reuse) takes 0.57.
-    # Measured peak 0.87 histories; the bound leaves 0.13.  Blocked through
-    # per-call differentiate temporaries it measured 0.98, and the
-    # full-history body, with its conjugate, two covariant derivatives and
-    # form products, 4.54.
+    # history, scaled in place by _integrate; for a 16-row block the kernel
+    # holds its 20-row halo, both derivatives, the stencil scratch and the
+    # wrap halo, and the caller the conjugate and two form rows.  Measured
+    # peak 0.685 histories; the bound leaves 0.115.  Blocked through per-call
+    # differentiate temporaries it measured 0.98, and the full-history body,
+    # with its conjugate, two covariant derivatives and form products, 4.54.
     chart = flat_chart(shape=(256, 1, 1), t_span=1.0, steps=300)
     bg = build_background(chart)
     rng = np.random.default_rng(6)
@@ -834,15 +833,15 @@ def test_action_holds_about_one_history_of_temporaries(nat):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.0 * history
+    assert peak < 0.8 * history
 
 
 def test_dirac_residual_holds_its_output_and_one_block(nat):
-    # The same history: the output is one history and the kernel's allocation
-    # 0.57 of one, with its halo, both derivatives and the scratch of the
-    # gamma^q sums.  Measured peak 1.62 histories; the bound leaves 0.13.  The
-    # whole-history body, with a covariant derivative and its gamma^q image
-    # per direction, measured 5.04.
+    # The same history: the output is one history; per block, a covariant
+    # derivative on the block's 20-row halo with the kernel's buffers, its
+    # gamma^q image and the sum's temporaries.  Measured peak 1.40 histories;
+    # the bound leaves 0.1.  The whole-history body, with a covariant
+    # derivative and its gamma^q image per direction, measured 5.04.
     chart = flat_chart(shape=(256, 1, 1), t_span=1.0, steps=300)
     bg = build_background(chart)
     rng = np.random.default_rng(6)
@@ -855,7 +854,7 @@ def test_dirac_residual_holds_its_output_and_one_block(nat):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.75 * history
+    assert peak < 1.5 * history
 
 
 # |central difference - Euler-Lagrange pairing| measured at most 3.6e-14 over

@@ -48,7 +48,6 @@ ALLOWED = Counter([
     ('fock.py', 'FockVector.__repr__', 'return f"FockVector({{{parts}}})"'),
     ('fock.py', 'multiparticle_inner', 'return complex(sum(u[s].conjugate() * c for s, c in v.items() if s in u))'),
     ('fock.py', 'parse_fock_vector', 'continue'),
-    ('geometry.py', 'covariant_derivative', 'return psi.with_values(_nabla_blocks(psi, bg, (q,), 0, lambda o, rows, d: np.copyto(o, np.moveaxis(d[q], 0, -1)), psi.values.shape))'),
     ('geometry.py', '_nabla_blocks', 'ds[q] += np.moveaxis(np.einsum("xyzab,txyzb->txyza", a, v[s:e]), -1, 1)'),
     ('pairing.py', 'sample_on_slice', 'return _slice_samples([psi.values], psi.taxis, [s])[0]'),
     ('pairing.py', 'flux', 'return float(_slice_integral(_slice_samples([j.values], j.taxis, [s])[0], s))'),

@@ -129,14 +129,14 @@ def test_wave_gaps_take_blocks_of_rows():
 
 
 def test_suite_evolve_holds_a_few_histories_at_its_peak():
-    # flat_boosted_wave cut to 100 steps, as the benchmark runs it: one
-    # (101, 256, 1, 1, 4) history is 1.65 MB.  The traced peak measured
-    # 10.35 MB, at the stationarity check's action_value (the oracle, the
-    # draw, oracle + eps pert and the kernel's one block), and 14.95 MB
-    # before the action checks were blocked, where dirac_residual's
-    # whole-history derivatives set it.  The bound sits 2.15 MB above the
-    # one and 2.45 MB below the other.
-    cfg = parse_config(BUNDLED["flat_boosted_wave"].replace("t_span = 5.0", "t_span = 0.5").replace("steps = 1000", "steps = 100"))
+    # flat_boosted_wave cut to 50 steps, half the benchmark's cut: one
+    # (51, 256, 1, 1, 4) history is 0.84 MB.  The traced peak measured
+    # 5.62 MB, at the stationarity check's action_value (the oracle, the
+    # draw, oracle + eps pert and the kernel's buffers for one block), and
+    # 7.48 MB before the action checks were blocked, where dirac_residual's
+    # whole-history derivatives set it.  The bound sits 0.88 MB above the
+    # one and 0.98 MB below the other.
+    cfg = parse_config(BUNDLED["flat_boosted_wave"].replace("t_span = 5.0", "t_span = 0.25").replace("steps = 1000", "steps = 50"))
     tracemalloc.start()
     try:
         results, _ = suite_evolve(cfg, _constants(cfg))
@@ -144,7 +144,7 @@ def test_suite_evolve_holds_a_few_histories_at_its_peak():
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in results)
-    assert peak < 12.5e6
+    assert peak < 6.5e6
 
 
 def flat_rk4(weights=(1.0, 2.0, 2.0, 1.0), mass_sign=1.0):

@@ -16,9 +16,10 @@ frame orthonormality residuals, and ``evolve``, ``current`` with
 ``covariant_derivative`` on curved and flat grids, 1D and 3D (on the curved
 ones ``evolve`` marches the skew split form and ``divergence`` takes the
 Gauss form D_1(sqrt(-g) J^1) / sqrt(-g) on x1), among them a curved and a
-flat (64, 1, 1) grid with 2B + 3 time rows, B the rows of one block of
-nabla (``dynamics._block_rows(..., halo=True)``), so that the last three
-take an inner block with a halo on both sides and a last block of 3 rows;
+flat (64, 1, 1) grid with 259 time rows, 4B + 3 for B = 64 the rows of one
+block of nabla (``dynamics._block_rows(..., halo=True)``; 2B + 3 where B
+was 128), so that the last three take inner blocks with a halo on both
+sides and a last block of 3 rows;
 ``sample_on_slice``, ``flux`` and ``gram`` on a
 flat (8, 8, 1) grid for an x1 tilt, a tilt along the suppressed x3 and an
 off-node coordinate slice, where ``gram`` pairs each mode's
@@ -131,7 +132,7 @@ def dynamics_lines():
     wave = dynamics.plane_wave(chart, (1, 1, 0), k)
     field_lines("flat-8x8x8", geometry.build_background(chart), wave.values[0], k)
 
-    steps = 2 * dynamics._block_rows((64, 1, 1), halo=True) + 2  # 2B + 3 time rows
+    steps = 258  # 259 time rows: several blocks of nabla and a last one of 3 rows
     chart = geometry.static_diagonal_chart(0.0, 0.01 * steps, steps, (TWO_PI,) * 3, (64, 1, 1), epsilon=0.01)
     init = dynamics.gaussian_packet(chart, k, center=np.pi, width=TWO_PI / 16.0, carrier_index=2)
     field_lines("curved-64x1x1-%d" % (steps + 1), geometry.build_background(chart), init, k)
