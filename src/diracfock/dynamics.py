@@ -66,11 +66,11 @@ def _norms(v: np.ndarray, cell_volume: float) -> list[float]:
 
 
 def dirac_residual(psi: SpinorField, bg: Background, k: PhysicalConstants) -> SpinorField:
-    """i hbar sum_q gamma^q nabla_q psi - m c psi, returned as a field; per block of time rows,
-    nabla_q from covariant_derivative on the block and its halo, so no temporary spans the history."""
+    """i hbar sum_q gamma^q nabla_q psi - m c psi as a field; per block of time rows, nabla_q is covariant_derivative
+    on the block and its halo, given nodes 0, dt, ... (it reads dt alone; nodes far from 0 may fail the chart check)."""
     v, out = psi.values, np.empty_like(psi.values)
     for s, e, lo, hi in _halo_blocks(len(v), v.shape[1:-1]):
-        part = replace(psi, chart=replace(psi.chart, axes=(psi.taxis[lo:hi],) + psi.chart.axes[1:]), values=v[lo:hi])
+        part = replace(psi, chart=replace(psi.chart, axes=(psi.chart.step[0] * np.arange(hi - lo),) + psi.chart.axes[1:]), values=v[lo:hi])
         acc = np.zeros_like(out[s:e])
         for q in bg.frame_terms:
             acc += _apply(_GAMMA_ROWS[q], covariant_derivative(part, bg, q).values[s - lo : e - lo])
