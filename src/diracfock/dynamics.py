@@ -67,7 +67,7 @@ def _norms(v: np.ndarray, cell_volume: float) -> list[float]:
 
 def dirac_residual(psi: SpinorField, bg: Background, k: PhysicalConstants) -> SpinorField:
     """i hbar sum_q gamma^q nabla_q psi - m c psi as a field; per block of time rows, nabla_q is covariant_derivative
-    on the block and its halo, given nodes 0, dt, ... (it reads dt alone; nodes far from 0 may fail the chart check)."""
+    on the block and its halo on nodes 0, dt, ... (it reads dt; a window of an offset axis may fail the chart check)."""
     v, out = psi.values, np.empty_like(psi.values)
     for s, e, lo, hi in _halo_blocks(len(v), v.shape[1:-1]):
         part = replace(psi, chart=replace(psi.chart, axes=(psi.chart.step[0] * np.arange(hi - lo),) + psi.chart.axes[1:]), values=v[lo:hi])
