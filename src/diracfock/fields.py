@@ -53,17 +53,12 @@ class _GridField:
         if v.shape[:4] != self.chart.shape:
             raise GridMismatchError("values do not match the chart's grid")
 
-    @property
-    def taxis(self) -> np.ndarray:
-        return self.chart.axes[0]
-
 
 @dataclass(frozen=True)
 class SpinorField(_GridField):
     """Complex 4-component field on a spacetime grid.
 
-    values has shape (nt, n1, n2, n3, 4) and must match the chart's grid;
-    taxis is the chart's time axis.
+    values has shape (nt, n1, n2, n3, 4) and must match the chart's grid.
     """
 
     _kind = "spinor"
@@ -73,13 +68,13 @@ class SpinorField(_GridField):
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
         _check_grid(other.chart, self.chart)
-        if not np.array_equal(other.taxis, self.taxis):
+        if not np.array_equal(other.chart.axes[0], self.chart.axes[0]):
             raise GridMismatchError("fields live on different time axes")
         return self.with_values(self.values + other.values)
 
     def __sub__(self, other: "SpinorField") -> "SpinorField":
         _check_grid(other.chart, self.chart)
-        if not np.array_equal(other.taxis, self.taxis):
+        if not np.array_equal(other.chart.axes[0], self.chart.axes[0]):
             raise GridMismatchError("fields live on different time axes")
         return self.with_values(self.values - other.values)
 

@@ -186,7 +186,7 @@ def _streamed_fluxes(rows: Iterable[np.ndarray], taxis: np.ndarray, slices: list
 
 def sample_on_slice(psi: SpinorField, s: Slice) -> np.ndarray:
     """Spinor samples on the slice, cubic in time between stored snapshots."""
-    return _slice_samples([psi.values], psi.taxis, [s])[0]
+    return _slice_samples([psi.values], psi.chart.axes[0], [s])[0]
 
 
 def _contract_with_normal(j_values: np.ndarray, s: Slice) -> np.ndarray:
@@ -214,7 +214,7 @@ def flux(j: CurrentField, s: Slice) -> float:
     The current is interpolated onto the slice in time; the quadrature is the
     periodic rectangle rule weighted by the induced area element.
     """
-    return float(_slice_integral(_slice_samples([j.values], j.taxis, [s])[0], s))
+    return float(_slice_integral(_slice_samples([j.values], j.chart.axes[0], [s])[0], s))
 
 
 def inner(phi: np.ndarray, psi: np.ndarray, s: Slice, k: PhysicalConstants) -> complex:

@@ -4,7 +4,10 @@ Each suite takes a validated configuration plus the physical constants, and
 returns a list of check results together with any text
 artifacts (time series, vector dumps) keyed by output file name.  All
 randomness is drawn from generators seeded with (config seed, suite salt),
-so selecting a subset of suites never shifts another suite's stream.
+so selecting a subset of suites never shifts another suite's stream.  The
+evolve suite's reality draws are filled by one worker thread while the
+previous draw's action runs; that one thread draws the suite's stream in
+order, so every value, and the run's determinism, is unchanged.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def _rng(cfg: ScenarioConfig, suite: str) -> np.random.Generator:
 
 
 # Doubles per chunk of a draw's scratch (512 KiB): much smaller chunks add
-# per-call cost to the evolve suite's 71 full-history draws.
+# per-call cost to each of the evolve suite's 70 full-history draws, the 50
+# reality draws on the draw thread and the 20 stationarity draws.
 _DRAW = 16 * _BLOCK
 
 # The march's rounding drifts from its closed-form solution by about 1e-17 a
@@ -100,19 +104,47 @@ _DRAW = 16 * _BLOCK
 _ROUNDED_STEPS = 1000
 
 
+def _fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the complex array out with rng's normals: the real parts, then the
+    imaginary parts, through one contiguous scratch of at most _DRAW doubles."""
+    flat = out.reshape(-1)
+    scratch = np.empty(min(_DRAW, flat.size))
+    for part in (flat.real, flat.imag):
+        for s in range(0, flat.size, _DRAW):
+            chunk = scratch[: min(_DRAW, flat.size - s)]
+            part[s : s + len(chunk)] = rng.standard_normal(out=chunk)
+    return out
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """rng.standard_normal(shape) + 1j * rng.standard_normal(shape), bit for bit,
-    drawn into one complex array: the real parts, then the imaginary parts, go
-    through one contiguous scratch of at most _DRAW doubles.  The generator's
-    stream is sequential, so its values and its final state are those of the
-    two whole draws."""
-    out = np.empty(shape, dtype=np.complex128).reshape(-1)
-    scratch = np.empty(min(_DRAW, out.size))
-    for part in (out.real, out.imag):
-        for s in range(0, out.size, _DRAW):
-            chunk = scratch[: min(_DRAW, out.size - s)]
-            part[s : s + len(chunk)] = rng.standard_normal(out=chunk)
-    return out.reshape(shape)
+    drawn into one complex array by _fill.  The generator's stream is
+    sequential, so its values and its final state are those of the two whole
+    draws."""
+    return _fill(rng, np.empty(shape, dtype=np.complex128))
+
+
+def _draws(rng: np.random.Generator, shape, count: int):
+    """Yield count draws that are, bit for bit, those of count sequential
+    _complex_normal(rng, shape) calls, and leave rng in the same state.
+
+    One worker thread fills draw n + 1 while the caller works on draw n, into
+    two buffers that alternate, so a draw stays valid until the caller asks
+    for the next one.  numpy's Generator releases the GIL while it fills an
+    array; only the worker touches rng until the last draw is yielded, and
+    nothing is drawn after it.  A worker's exception re-raises here, in the
+    caller.  Closing the generator early waits for the draw in flight, so rng
+    is left past it."""
+    from concurrent.futures import ThreadPoolExecutor  # about 7 ms: not at package import
+
+    bufs = [np.empty(shape, dtype=np.complex128) for _ in range(min(count, 2))]
+    with ThreadPoolExecutor(1) as worker:
+        pending = worker.submit(_fill, rng, bufs[0])
+        for n in range(count):
+            draw = pending.result()
+            if n + 1 < count:
+                pending = worker.submit(_fill, rng, bufs[(n + 1) % 2])
+            yield draw
 
 
 def _expected_gamma() -> np.ndarray:
@@ -274,9 +306,10 @@ def suite_evolve(cfg: ScenarioConfig, k: PhysicalConstants) -> SuiteOutput:
     rng = _rng(cfg, s)
     shape = (len(base_chart.axes[0]),) + base_chart.spatial_shape + (4,)
     worst_rel = 0.0
-    for _ in range(50):  # no draw outlives its action, so the stationarity check starts without one
-        val = action_value(SpinorField(chart=base_chart, values=_complex_normal(rng, shape)), base_bg, k)
+    for draw in _draws(rng, shape, 50):  # its two buffers are freed before the stationarity check
+        val = action_value(SpinorField(chart=base_chart, values=draw), base_bg, k)
         worst_rel = max(worst_rel, abs(val.imag) / abs(val.real))
+    del draw
     results.append(check_at_most(s, "action_reality", worst_rel, cfg.tol("action_reality")))
 
     # S is a Hermitian quadratic form whose stencils sum by parts: its first

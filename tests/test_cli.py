@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -165,7 +166,7 @@ def test_failed_check_exits_one(tmp_path, capsys):
 def test_evolve_checks_stationarity_against_the_action(tmp_path, capsys):
     # the stationarity row pairs random perturbations with the field-equation
     # residual; the Euler-Lagrange row checks one of them against a central
-    # difference of action_value
+    # difference of action_value; the reality draws' thread ends with the run
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(
         "[scenario]\nname = tiny_evolve\nsuites = evolve\n"
@@ -173,7 +174,9 @@ def test_evolve_checks_stationarity_against_the_action(tmp_path, capsys):
         "[modes]\nm1 = 0 0 0 0 +1\n"
     )
     out_dir = str(tmp_path / "out")
+    threads = threading.active_count()
     assert main(["run", str(cfg), "--out", out_dir]) == 0
+    assert threading.active_count() == threads
     capsys.readouterr()
     rows = {}
     for line in read(os.path.join(out_dir, "checks.jsonl")).splitlines():

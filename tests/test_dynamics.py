@@ -877,7 +877,7 @@ GAP_BOUND = 1e-12
 def euler_lagrange_variation(field, pert, bg, gs, k):
     """2 Re sum w p^dag D^T R(field) with the action's trapezoid cell weights."""
     chart = field.chart
-    w = np.full(len(field.taxis), chart.dt * chart.cell_volume)
+    w = np.full(len(chart.axes[0]), chart.dt * chart.cell_volume)
     w[[0, -1]] *= 0.5
     form_residual = dirac_residual(field, bg, k).values @ gs.dirac_form
     dens = np.sum(np.conj(pert.values) * form_residual, axis=-1) * bg.sqrt_neg_det[None]
@@ -911,7 +911,7 @@ def test_action_stationary_on_shell(gs, nat):
 
     # the same probe must move the action for an off-shell field, by the
     # same pairing
-    growth = np.exp(0.3 * np.linspace(0.0, 1.0, len(wave.taxis)))
+    growth = np.exp(0.3 * np.linspace(0.0, 1.0, len(wave.chart.axes[0])))
     bad = wave.with_values(wave.values * growth[:, None, None, None, None])
     v = rng.standard_normal(wave.values.shape) + 1j * rng.standard_normal(wave.values.shape)
     v[:5] = 0.0

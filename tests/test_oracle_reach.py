@@ -49,8 +49,8 @@ ALLOWED = Counter([
     ('fock.py', 'multiparticle_inner', 'return complex(sum(u[s].conjugate() * c for s, c in v.items() if s in u))'),
     ('fock.py', 'parse_fock_vector', 'continue'),
     ('geometry.py', '_nabla_blocks', 'ds[q] += np.moveaxis(np.einsum("xyzab,txyzb->txyza", a, v[s:e]), -1, 1)'),
-    ('pairing.py', 'sample_on_slice', 'return _slice_samples([psi.values], psi.taxis, [s])[0]'),
-    ('pairing.py', 'flux', 'return float(_slice_integral(_slice_samples([j.values], j.taxis, [s])[0], s))'),
+    ('pairing.py', 'sample_on_slice', 'return _slice_samples([psi.values], psi.chart.axes[0], [s])[0]'),
+    ('pairing.py', 'flux', 'return float(_slice_integral(_slice_samples([j.values], j.chart.axes[0], [s])[0], s))'),
     ('scenarios.py', 'scenario_names', 'return tuple(sorted(BUNDLED))'),
     ('stencils.py', 'differentiate', 'return np.zeros_like(values)'),
 ])

@@ -319,7 +319,7 @@ def test_streamed_fluxes_equal_the_history_fluxes_bit_for_bit(nat, shape):
     # 256, 8 and 1 time rows per block of J: one block, a short last block,
     # and one row per block
     psi, slices = _stream_setup(shape)
-    taxis, dt = psi.taxis, psi.chart.dt
+    taxis, dt = psi.chart.axes[0], psi.chart.dt
     times = slices[3].times
     assert np.array_equal(times[::2], taxis[:8]) and times[1] < taxis[0] + dt and times[-1] > taxis[-1] - dt
     j = current(psi, nat)
@@ -336,11 +336,11 @@ def test_any_partition_into_row_blocks_gives_the_same_samples(cuts, shape):
     # cuts splits the 9 time rows into blocks; every slice's samples, the
     # tilted slice's clamped windows included, equal the one-block gather
     psi, slices = _stream_setup(shape)
-    edges = [0, *sorted(cuts), len(psi.taxis)]
+    edges = [0, *sorted(cuts), len(psi.chart.axes[0])]
     blocks = (psi.values[a:b] for a, b in zip(edges, edges[1:]))
-    got = _slice_samples(blocks, psi.taxis, slices)
+    got = _slice_samples(blocks, psi.chart.axes[0], slices)
     for g, s in zip(got, slices):
-        assert np.array_equal(g, _gathered_samples(psi.values, psi.taxis, s))
+        assert np.array_equal(g, _gathered_samples(psi.values, psi.chart.axes[0], s))
 
 
 def test_the_stream_raises_the_reality_error_of_current(nat, non_hermitian_pairing):
@@ -350,7 +350,7 @@ def test_the_stream_raises_the_reality_error_of_current(nat, non_hermitian_pairi
     imag = float(np.max(np.abs(j.imag)))
     assert imag > float(np.max(np.abs(j[-1].imag)))  # the last row does not hold the maximum
     message = f"current reality violated: max imaginary part {imag:.3e}"
-    for run in (lambda: current(psi, nat), lambda: _streamed_fluxes(iter(psi.values), psi.taxis, slices, nat)):
+    for run in (lambda: current(psi, nat), lambda: _streamed_fluxes(iter(psi.values), psi.chart.axes[0], slices, nat)):
         with pytest.raises(CurrentRealityError) as info:
             run()
         assert str(info.value) == message
@@ -361,6 +361,6 @@ def test_a_reality_residual_between_the_bounds_raises(nat, nearly_hermitian_pair
     # current's bound 1e-13, below 1e-3, so a looser bound would let it through.
     psi, slices = _stream_setup((16, 16, 16))
     assert 1e-13 < timelike_report(psi.values, nat).reality_residual < 1e-3
-    for run in (lambda: current(psi, nat), lambda: _streamed_fluxes(iter(psi.values), psi.taxis, slices, nat)):
+    for run in (lambda: current(psi, nat), lambda: _streamed_fluxes(iter(psi.values), psi.chart.axes[0], slices, nat)):
         with pytest.raises(CurrentRealityError):
             run()

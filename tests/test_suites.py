@@ -1,8 +1,15 @@
 """Helpers shared by the verification suites."""
 
+# numpy.random and concurrent.futures are imported here, not first inside a
+# suite_evolve under tracemalloc, so a traced peak does not depend on test order
+import concurrent.futures  # noqa: F401
+import threading
+import time
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401
+import pytest
 
 from diracfock import (
     BUNDLED,
@@ -19,7 +26,7 @@ from diracfock import (
 from diracfock.config import _constants, parse_config
 from diracfock.dynamics import _plane_wave_split
 from diracfock.spin_algebra import _GAMMA_ROWS, _apply
-from diracfock.suites import _DRAW, _complex_normal, _wave_gaps, suite_evolve
+from diracfock.suites import _DRAW, _complex_normal, _draws, _wave_gaps, suite_evolve
 
 
 def test_complex_normal_equals_two_draw_expression_bit_for_bit():
@@ -48,6 +55,46 @@ def test_complex_normal_holds_the_output_and_one_scratch():
         finally:
             tracemalloc.stop()
         assert peak <= out.nbytes + 8 * _DRAW + 2**14
+
+
+def test_draws_equal_sequential_complex_normals_bit_for_bit():
+    # (3, 16385, 1, 1, 4) is 196620 doubles a part, three _DRAW chunks and 12 doubles
+    for count in (1, 2, 3, 5):
+        for shape in ((7, 4), (3, 16385, 1, 1, 4)):
+            a = np.random.default_rng([11, 3])
+            b = np.random.default_rng([11, 3])
+            want = [_complex_normal(b, shape) for _ in range(count)]
+            got = 0
+            for draw, expected in zip(_draws(a, shape, count), want):
+                time.sleep(0.005)  # the worker fills the next draw meanwhile; this one stays valid
+                assert np.array_equal(draw, expected)
+                got += 1
+            assert got == count
+            # nothing is drawn after the last
+            assert a.standard_normal() == b.standard_normal()
+
+
+class _FailingRng:
+    def standard_normal(self, out):
+        raise FloatingPointError("draw failed")
+
+
+def test_a_failed_draw_raises_in_the_caller():
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        next(_draws(_FailingRng(), (8, 4), 3))
+    assert threading.active_count() == before
+
+
+def test_draws_leave_no_thread_behind():
+    before = threading.active_count()
+    early = _draws(np.random.default_rng(1), (64, 4), 5)
+    next(early)
+    next(early)
+    early.close()
+    assert threading.active_count() == before
+    assert len(list(_draws(np.random.default_rng(1), (64, 4), 5))) == 5
+    assert threading.active_count() == before
 
 
 EVOLVE_TWO_MODES = """

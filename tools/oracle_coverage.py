@@ -1,7 +1,8 @@
 """Lines of ``src/diracfock`` that no bundled scenario reaches.
 
 Runs every bundled scenario through ``cli.main`` into a temporary directory
-under a ``sys.settrace`` line trace of the package's own frames, then prints
+under a line trace of the package's own frames (``sys.settrace``, and
+``threading.settrace`` for the threads a run starts), then prints
 each executable line of ``src/diracfock/*.py`` that no run reached, as
 ``path:line: source``.  Import-time lines are left out: the package is
 imported under the same trace first, and every line that runs then (module
@@ -25,6 +26,7 @@ import importlib
 import io
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -51,11 +53,13 @@ def _trace(frame, event, arg):
 
 
 def _traced(fn, *args):
-    """fn(*args) under the line trace."""
+    """fn(*args) under the line trace, in this thread and in every thread it starts."""
     sys.settrace(_trace)
+    threading.settrace(_trace)
     try:
         return fn(*args)
     finally:
+        threading.settrace(None)
         sys.settrace(None)
 
 
