@@ -104,11 +104,11 @@ _DRAW = 16 * _BLOCK
 _ROUNDED_STEPS = 1000
 
 
-def _fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+def _fill(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Fill the complex array out with rng's normals: the real parts, then the
-    imaginary parts, through one contiguous scratch of at most _DRAW doubles."""
+    imaginary parts, through the contiguous scratch of min(_DRAW, out.size)
+    doubles."""
     flat = out.reshape(-1)
-    scratch = np.empty(min(_DRAW, flat.size))
     for part in (flat.real, flat.imag):
         for s in range(0, flat.size, _DRAW):
             chunk = scratch[: min(_DRAW, flat.size - s)]
@@ -121,7 +121,8 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     drawn into one complex array by _fill.  The generator's stream is
     sequential, so its values and its final state are those of the two whole
     draws."""
-    return _fill(rng, np.empty(shape, dtype=np.complex128))
+    out = np.empty(shape, dtype=np.complex128)
+    return _fill(rng, out, np.empty(min(_DRAW, out.size)))
 
 
 def _draws(rng: np.random.Generator, shape, count: int):
@@ -132,18 +133,21 @@ def _draws(rng: np.random.Generator, shape, count: int):
     two buffers that alternate, so a draw stays valid until the caller asks
     for the next one.  numpy's Generator releases the GIL while it fills an
     array; only the worker touches rng until the last draw is yielded, and
-    nothing is drawn after it.  A worker's exception re-raises here, in the
-    caller.  Closing the generator early waits for the draw in flight, so rng
-    is left past it."""
+    nothing is drawn after it.  The buffers and the one scratch the fills
+    share are allocated here, so the worker allocates no array (and its
+    allocator arena stays small).  A worker's exception re-raises here, in
+    the caller.  Closing the generator early waits for the draw in flight, so
+    rng is left past it."""
     from concurrent.futures import ThreadPoolExecutor  # about 7 ms: not at package import
 
     bufs = [np.empty(shape, dtype=np.complex128) for _ in range(min(count, 2))]
+    scratch = np.empty(min(_DRAW, bufs[0].size))
     with ThreadPoolExecutor(1) as worker:
-        pending = worker.submit(_fill, rng, bufs[0])
+        pending = worker.submit(_fill, rng, bufs[0], scratch)
         for n in range(count):
             draw = pending.result()
             if n + 1 < count:
-                pending = worker.submit(_fill, rng, bufs[(n + 1) % 2])
+                pending = worker.submit(_fill, rng, bufs[(n + 1) % 2], scratch)
             yield draw
 
 

@@ -1,14 +1,12 @@
 """Helpers shared by the verification suites."""
 
-# numpy.random and concurrent.futures are imported here, not first inside a
-# suite_evolve under tracemalloc, so a traced peak does not depend on test order
-import concurrent.futures  # noqa: F401
+import concurrent.futures  # noqa: F401  (imported before any traced window, see the peak test)
 import threading
 import time
 import tracemalloc
 
 import numpy as np
-import numpy.random  # noqa: F401
+import numpy.random  # noqa: F401  (likewise)
 import pytest
 
 from diracfock import (
@@ -178,11 +176,13 @@ def test_wave_gaps_take_blocks_of_rows():
 def test_suite_evolve_holds_a_few_histories_at_its_peak():
     # flat_boosted_wave cut to 50 steps, half the benchmark's cut: one
     # (51, 256, 1, 1, 4) history is 0.84 MB.  The traced peak measured
-    # 5.62 MB, at the stationarity check's action_value (the oracle, the
-    # draw, oracle + eps pert and the kernel's buffers for one block), and
-    # 7.48 MB before the action checks were blocked, where dirac_residual's
-    # whole-history derivatives set it.  The bound sits 0.88 MB above the
-    # one and 0.98 MB below the other.
+    # 6.07 MB run alone and 5.84 MB in file order, in the reality phase (the
+    # oracle, the two draw buffers, the fill's scratch and the kernel's
+    # buffers for one block), and 7.48 MB before the action checks were
+    # blocked, where dirac_residual's whole-history derivatives set it.  The
+    # bound sits 0.43 MB above the one and 0.98 MB below the other.  The
+    # imports at the top of this module keep first-import allocations of
+    # numpy.random and concurrent.futures (about 0.8 MB) out of the window.
     cfg = parse_config(BUNDLED["flat_boosted_wave"].replace("t_span = 5.0", "t_span = 0.25").replace("steps = 1000", "steps = 50"))
     tracemalloc.start()
     try:
