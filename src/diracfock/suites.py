@@ -126,18 +126,16 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _draws(rng: np.random.Generator, shape, count: int):
-    """Yield count draws that are, bit for bit, those of count sequential
+    """Yield count draws equal, bit for bit, to those of count sequential
     _complex_normal(rng, shape) calls, and leave rng in the same state.
 
-    One worker thread fills draw n + 1 while the caller works on draw n, into
-    two buffers that alternate, so a draw stays valid until the caller asks
-    for the next one.  numpy's Generator releases the GIL while it fills an
-    array; only the worker touches rng until the last draw is yielded, and
-    nothing is drawn after it.  The buffers and the one scratch the fills
-    share are allocated here, so the worker allocates no array (and its
-    allocator arena stays small).  A worker's exception re-raises here, in
-    the caller.  Closing the generator early waits for the draw in flight, so
-    rng is left past it."""
+    One worker thread fills draw n + 1 while the caller works on draw n; two
+    buffers alternate, so a draw stays valid until the caller asks for the
+    next.  numpy's Generator releases the GIL while it fills an array; only
+    the worker touches rng, and nothing is drawn after the last draw.  The
+    buffers and the fills' one scratch are allocated here, so the worker
+    allocates no array.  A worker's exception re-raises in the caller;
+    closing the generator early waits for the draw in flight."""
     from concurrent.futures import ThreadPoolExecutor  # about 7 ms: not at package import
 
     bufs = [np.empty(shape, dtype=np.complex128) for _ in range(min(count, 2))]
